@@ -39,7 +39,7 @@ from fedasync.simulator import (
     run_fedasync_sampled,
 )
 from fedasync.transport import TransportServer, worker_loop
-from fedasync.worker import WorkerConfig
+from fedasync.worker import DivergenceError, WorkerConfig
 
 ALGORITHMS = ("fedasync-sampled", "fedasync-latency", "fedasync-net", "fedavg", "sgd")
 
@@ -367,25 +367,48 @@ def _build_experiment(values, mode, batch, compute_means) -> ExperimentConfig:
 
 
 def _run_net(cfg: ExperimentConfig) -> RunResult:
-    """fedasync-net inside one process: real sockets, worker threads."""
+    """fedasync-net inside one process: real sockets, worker threads.
+
+    The server stops when the last worker thread stops, so a worker
+    error ends the run as soon as every worker is done, and is raised
+    here; a divergence becomes a RunFailure, as in the other runners.
+    """
     import threading
 
     server = TransportServer(cfg)
     host, port = server.start()
+    errors: list[Exception] = []
+    live = [cfg.n_workers]
+    lock = threading.Lock()
+
+    def work(w: int) -> None:
+        try:
+            worker_loop((host, port), cfg, w, problem=server.problem)
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            with lock:
+                live[0] -= 1
+                last = live[0] == 0
+            if last:
+                server.stop()
+
     workers = [
-        threading.Thread(
-            target=worker_loop,
-            args=((host, port), cfg, w),
-            kwargs={"problem": server.problem},
-            daemon=True,
-        )
-        for w in range(cfg.n_workers)
+        threading.Thread(target=work, args=(w,), daemon=True) for w in range(cfg.n_workers)
     ]
     for t in workers:
         t.start()
     result = server.wait(timeout=600.0)
     for t in workers:
         t.join(timeout=60.0)
+    if errors:
+        if isinstance(errors[0], DivergenceError):
+            raise RunFailure(result.records, result.state.epoch, errors[0]) from errors[0]
+        raise errors[0]
+    if result.state.epoch < cfg.total_epochs:
+        raise RuntimeError(
+            f"workers stopped at epoch {result.state.epoch} of {cfg.total_epochs}"
+        )
     return result
 
 

@@ -154,6 +154,8 @@ def apply_update(state: ServerState, cfg: ServerConfig, upd: LocalUpdate) -> flo
         )
     if not np.all(np.isfinite(upd.params)):
         raise ProtocolError("update contains non-finite parameters")
+    if upd.local_iters < 1:
+        raise ProtocolError(f"update claims {upd.local_iters} local steps")
     staleness = state.epoch - upd.tau
     if staleness > cfg.max_staleness:
         state.n_rejected += 1

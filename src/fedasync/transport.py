@@ -19,6 +19,7 @@ import queue
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ from fedasync.worker import LocalUpdate, local_train
 log = logging.getLogger("fedasync.transport")
 
 MAX_FRAME_BYTES = 256 * 1024 * 1024  # guard against absurd declared lengths
+_CUT_GRACE_S = 5.0  # teardown: time for cut connections and the updater to exit
 
 _LEN = struct.Struct(">I")
 _INT = struct.Struct(">q")
@@ -292,12 +294,40 @@ def send_message(sock: socket.socket, msg: Message) -> None:
     sock.sendall(encode(msg))
 
 
+def _no_delay(sock: socket.socket) -> socket.socket:
+    """Turn off Nagle's algorithm. Every exchange is a small frame that the
+    peer must answer before the next one; with Nagle on, a frame written
+    right after another (PushAck then Trigger) waits for the peer's
+    delayed ACK, about 40 ms on Linux."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def _cut(sock: socket.socket) -> None:
+    """Shut a socket down both ways, waking any thread blocked on it."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+
+
 class TransportServer:
     """Accepts worker connections and runs the protocol to T epochs.
 
     One thread per connection exchanges Trigger / PullRequest /
-    PullResponse / Push / PushAck in lock step; the number of
-    simultaneously triggered tasks never exceeds ``max_staleness + 1``.
+    PullResponse / Push / PushAck in lock step. A connection is bound to
+    the worker id of its first PullRequest; ids out of range or held by
+    another live connection are refused, and a Push that names another
+    worker or fewer than one local step is a protocol error.
+
+    Dispatch is gated so that an honest push is never stale: a Trigger
+    goes out only when nothing is in flight, or when
+    ``epoch - min(trigger epochs in flight) + len(in flight) <= K``.
+    The oldest task in flight has then waited ``epoch - min`` epochs and
+    at most ``len(in flight)`` other tasks, the new one included, can be
+    applied before it. When every task in flight was triggered at the
+    current epoch the gate is the ``K + 1`` cap on concurrent tasks.
+
     Pushes go through a queue to the single updater thread, which is
     the only mutator of the model. When the epoch counter reaches
     ``total_epochs`` every connection receives Shutdown.
@@ -323,12 +353,13 @@ class TransportServer:
         self._host, self._port = host, port
         self._lock = threading.Lock()
         self._slots = threading.Condition(self._lock)
-        self._in_flight = 0
+        self._in_flight: list[int] = []  # trigger epochs of the tasks in flight
+        self._bound: set[int] = set()  # worker ids held by live connections
         self._done = False
         self._queue: queue.Queue = queue.Queue()
         self._done_event = threading.Event()
         self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
+        self._handlers: list[tuple[threading.Thread, socket.socket]] = []
         self._accept_thread: threading.Thread | None = None
         self._updater_thread: threading.Thread | None = None
 
@@ -348,22 +379,55 @@ class TransportServer:
         self._accept_thread.start()
         return self._host, self._port
 
+    def stop(self) -> None:
+        """End the run early: no further Triggers, and ``wait`` returns."""
+        with self._slots:
+            self._done = True
+            self._slots.notify_all()
+        self._done_event.set()
+
     def wait(self, timeout: float | None = None) -> RunResult:
-        """Block until T epochs are applied, then tear down and report."""
+        """Block until T epochs are applied (or ``stop``), tear down, report.
+
+        When it returns, every thread the server started has ended. On
+        timeout the run is stopped and torn down before TimeoutError is
+        raised.
+        """
         if not self._done_event.wait(timeout):
+            self.stop()
+            self._teardown(grace=0.0)
             raise TimeoutError(f"run did not finish within {timeout} s")
-        assert self._listener is not None
-        self._listener.close()
-        for t in self._threads:
-            t.join(timeout=self.socket_timeout)
-        self._queue.put(self._STOP)
-        assert self._updater_thread is not None
-        self._updater_thread.join(timeout=self.socket_timeout)
+        self._teardown(grace=self.socket_timeout)
         with self._lock:
             final = self.state.params.copy()
         return RunResult(
             records=self.records, final_params=final, state=self.state, trajectory=None
         )
+
+    def _teardown(self, grace: float) -> None:
+        """Join every server thread under one deadline. Connections get
+        ``grace`` seconds to finish their task and take their Shutdown;
+        those still open then are cut."""
+        assert self._listener is not None
+        assert self._accept_thread is not None and self._updater_thread is not None
+        now = time.monotonic()
+        cut_at, deadline = now + grace, now + grace + _CUT_GRACE_S
+
+        def until(t: float) -> float:
+            return max(0.0, t - time.monotonic())
+
+        _cut(self._listener)  # close() alone does not wake accept() on Linux
+        self._listener.close()
+        self._accept_thread.join(until(deadline))
+        for t, _ in self._handlers:
+            t.join(until(cut_at))
+        for t, conn in self._handlers:
+            if t.is_alive():
+                _cut(conn)
+        for t, _ in self._handlers:
+            t.join(until(deadline))
+        self._queue.put(self._STOP)
+        self._updater_thread.join(until(deadline))
 
     # -- threads -----------------------------------------------------------
 
@@ -373,57 +437,88 @@ class TransportServer:
             try:
                 conn, addr = self._listener.accept()
             except OSError:
-                return  # listener closed during teardown
-            conn.settimeout(self.socket_timeout)
+                return  # listener shut down during teardown
+            _no_delay(conn).settimeout(self.socket_timeout)
             t = threading.Thread(target=self._handle, args=(conn, addr), daemon=True)
-            self._threads.append(t)
+            self._handlers.append((t, conn))
             t.start()
 
+    def _may_trigger(self) -> bool:
+        """The dispatch gate (see the class docstring); lock held."""
+        flight = self._in_flight
+        return not flight or (
+            self.state.epoch - min(flight) + len(flight) <= self.cfg.server.max_staleness
+        )
+
+    def _bind(self, worker_id: int) -> int:
+        with self._lock:
+            if not 0 <= worker_id < self.cfg.n_workers:
+                raise ProtocolError(
+                    f"worker id {worker_id} out of range for {self.cfg.n_workers} workers"
+                )
+            if worker_id in self._bound:
+                raise ProtocolError(f"worker id {worker_id} is held by another connection")
+            self._bound.add(worker_id)
+        return worker_id
+
+    def _expect(self, conn: socket.socket, kind: type):
+        msg = read_message(conn, self.max_frame)
+        if msg is None:
+            raise EOFError
+        if not isinstance(msg, kind):
+            raise FrameError(f"expected {kind.__name__}, got {type(msg).__name__}")
+        return msg
+
     def _handle(self, conn: socket.socket, addr):
-        holding_slot = False
+        worker_id: int | None = None  # bound at the first PullRequest
+        task: int | None = None  # trigger epoch of this connection's task in flight
         try:
             with conn:
                 while True:
                     with self._slots:
-                        while not self._done and (
-                            self._in_flight >= self.cfg.server.max_staleness + 1
-                        ):
+                        while not self._done and not self._may_trigger():
                             self._slots.wait()
                         if self._done:
                             break
-                        self._in_flight += 1
-                        holding_slot = True
-                        epoch = self.state.epoch
-                    send_message(conn, Trigger(epoch=epoch))
-                    msg = read_message(conn, self.max_frame)
-                    if not isinstance(msg, PullRequest):
-                        raise FrameError(f"expected PullRequest, got {type(msg).__name__}")
+                        task = self.state.epoch
+                        self._in_flight.append(task)
+                    send_message(conn, Trigger(epoch=task))
+                    pull = self._expect(conn, PullRequest)
+                    if worker_id is None:
+                        worker_id = self._bind(pull.worker_id)
+                    elif pull.worker_id != worker_id:
+                        raise ProtocolError(
+                            f"PullRequest names worker {pull.worker_id} on a "
+                            f"connection bound to worker {worker_id}"
+                        )
                     with self._lock:
                         snap_epoch, snap_params = self.state.pull()
                     send_message(conn, PullResponse(epoch=snap_epoch, params=snap_params))
-                    msg = read_message(conn, self.max_frame)
-                    if not isinstance(msg, Push):
-                        raise FrameError(f"expected Push, got {type(msg).__name__}")
+                    push = self._expect(conn, Push)
                     verdict: queue.Queue = queue.Queue(maxsize=1)
-                    self._queue.put((msg, verdict))
+                    self._queue.put((push, worker_id, verdict))
                     accepted, current_epoch = verdict.get()
-                    send_message(conn, PushAck(accepted=accepted, current_epoch=current_epoch))
                     with self._slots:
-                        self._in_flight -= 1
-                        holding_slot = False
+                        self._in_flight.remove(task)
+                        task = None
                         self._slots.notify_all()
+                    send_message(conn, PushAck(accepted=accepted, current_epoch=current_epoch))
                 try:
                     send_message(conn, Shutdown())
                 except OSError:
                     pass
-        except (OSError, FrameError) as exc:
-            # mid-task disconnects abandon the task; the slot goes back
+        except EOFError:
+            log.info("worker %s at %s disconnected", worker_id, addr)
+        except (OSError, FrameError, ProtocolError) as exc:
+            # mid-task drops abandon the task; its slot goes back below
             log.warning("connection %s dropped: %s", addr, exc)
         finally:
-            if holding_slot:
-                with self._slots:
-                    self._in_flight -= 1
+            with self._slots:
+                if task is not None:
+                    self._in_flight.remove(task)
                     self._slots.notify_all()
+                if worker_id is not None:
+                    self._bound.discard(worker_id)
 
     def _updater(self):
         cfg = self.cfg
@@ -431,12 +526,17 @@ class TransportServer:
             item = self._queue.get()
             if item is self._STOP:
                 return
-            push, verdict = item
+            push, worker_id, verdict = item
             with self._lock:
                 if self._done:
                     verdict.put((False, self.state.epoch))
                     continue
                 try:
+                    if push.worker_id != worker_id:
+                        raise ProtocolError(
+                            f"push names worker {push.worker_id} on a connection "
+                            f"bound to worker {worker_id}"
+                        )
                     upd = LocalUpdate(
                         params=np.array(push.params, dtype=np.float64),
                         tau=push.tau,
@@ -446,10 +546,10 @@ class TransportServer:
                     alpha_t = apply_update(self.state, cfg.server, upd)
                     accepted = True
                 except StaleUpdateError as exc:
-                    log.info("rejected stale push from worker %s: %s", push.worker_id, exc)
+                    log.info("rejected stale push from worker %s: %s", worker_id, exc)
                     accepted = False
                 except ProtocolError as exc:
-                    log.error("protocol error from worker %s: %s", push.worker_id, exc)
+                    log.error("protocol error from worker %s: %s", worker_id, exc)
                     accepted = False
                 epoch = self.state.epoch
                 snap = self.state.params.copy()
@@ -520,7 +620,7 @@ def worker_loop(
     shard = problem.shards[worker_id]
     stream = worker_rng(cfg.seed, worker_id)
     pushes = accepted = 0
-    with socket.create_connection(address, timeout=socket_timeout) as sock:
+    with _no_delay(socket.create_connection(address, timeout=socket_timeout)) as sock:
         while True:
             msg = read_message(sock, max_frame)
             if msg is None or isinstance(msg, Shutdown):

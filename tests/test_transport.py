@@ -1,13 +1,19 @@
 """Wire-format and socket-loop tests for the process deployment mode."""
 
+import logging
 import socket
+import sys
 import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fedasync.transport as transport
+from fedasync.cli import _run_net
 from fedasync.server import ServerConfig
-from fedasync.simulator import ExperimentConfig, run_fedasync_sampled
+from fedasync.simulator import ExperimentConfig, RunFailure, run_fedasync_sampled
 from fedasync.transport import (
     FrameError,
     OversizeFrameError,
@@ -26,7 +32,7 @@ from fedasync.transport import (
     send_message,
     worker_loop,
 )
-from fedasync.worker import WorkerConfig
+from fedasync.worker import DivergenceError, WorkerConfig
 
 
 def _cfg(**over):
@@ -329,3 +335,226 @@ class TestLoopback:
         t.join(timeout=30)
         assert result.state.epoch == 3
         assert done["loop"] == (3, 3)
+
+
+class TestNoDelay:
+    def test_both_ends_set_tcp_nodelay(self, monkeypatch):
+        # every read on either end records the socket's TCP_NODELAY flag
+        seen = {}
+        original = transport.read_message
+
+        def spy(sock, *args, **kwargs):
+            local, peer = sock.getsockname(), sock.getpeername()
+            seen[(local, peer)] = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            return original(sock, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "read_message", spy)
+        cfg = _cfg(total_epochs=3)
+        server = TransportServer(cfg)
+        _start_workers(server, cfg, 1)
+        port = server._port
+        server_side = [flag for (local, _), flag in seen.items() if local[1] == port]
+        worker_side = [flag for (_, peer), flag in seen.items() if peer[1] == port]
+        assert server_side and worker_side
+        assert all(server_side) and all(worker_side)
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads far more often than the default 5 ms."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestDispatchGate:
+    @pytest.mark.parametrize("max_staleness", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_honest_pushes_are_never_stale(self, max_staleness, seed, fast_switching):
+        # more workers than the K+1 tasks a plain cap would allow in flight
+        cfg = _cfg(
+            n_workers=6,
+            total_epochs=150,
+            server=ServerConfig(alpha=0.6, max_staleness=max_staleness),
+            worker=WorkerConfig(gamma=0.1, rho=0.005, h_min=1, h_max=6, batch_size=4),
+            n_samples=120,
+            seed=seed,
+        )
+        server = TransportServer(cfg)
+        result, loops = _start_workers(server, cfg, 6)
+        assert result.state.n_rejected == 0
+        assert all(r.staleness <= max_staleness for r in result.records)
+        assert [r.epoch for r in result.records] == list(range(151))
+        assert sum(acc for _, acc in loops) == 150
+
+
+class TestTeardown:
+    def test_wait_leaves_no_server_thread_alive(self):
+        before = set(threading.enumerate())
+        cfg = _cfg(n_workers=2, total_epochs=10, server=ServerConfig(alpha=0.6, max_staleness=1))
+        server = TransportServer(cfg)
+        host, port = server.start()
+        workers = [
+            threading.Thread(
+                target=worker_loop, args=((host, port), cfg, w), kwargs={"problem": server.problem}
+            )
+            for w in range(2)
+        ]
+        for t in workers:
+            t.start()
+        server.wait(timeout=60)
+        left = [
+            t for t in threading.enumerate() if t not in before and t not in workers and t.is_alive()
+        ]
+        for t in workers:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert left == []
+
+    def test_wait_is_bounded_with_a_silent_peer(self):
+        # a peer that holds a task and never answers delays teardown by at
+        # most the socket timeout, and leaves no thread behind
+        cfg = _cfg(n_workers=2, total_epochs=1, server=ServerConfig(alpha=0.6, max_staleness=1))
+        before = set(threading.enumerate())
+        server = TransportServer(cfg, socket_timeout=1.0)
+        host, port = server.start()
+        with socket.create_connection((host, port), timeout=30) as silent:
+            assert isinstance(read_message(silent), Trigger)
+            send_message(silent, PullRequest(worker_id=0))
+            assert isinstance(read_message(silent), PullResponse)
+            loop = worker_loop((host, port), cfg, 1, problem=server.problem)
+            t0 = time.perf_counter()
+            result = server.wait(timeout=60)
+            assert time.perf_counter() - t0 < 10.0
+            assert read_message(silent) is None
+        assert loop == (1, 1)
+        assert result.state.epoch == 1
+        assert [t for t in threading.enumerate() if t not in before] == []
+
+    def test_timeout_cuts_connections_at_once(self):
+        cfg = _cfg(total_epochs=2)
+        server = TransportServer(cfg)
+        before = set(threading.enumerate())
+        host, port = server.start()
+        with socket.create_connection((host, port), timeout=30) as silent:
+            _raw_task(silent)
+            t0 = time.perf_counter()
+            with pytest.raises(TimeoutError):
+                server.wait(timeout=0.2)
+            assert time.perf_counter() - t0 < 5.0
+            assert read_message(silent) is None
+        assert [t for t in threading.enumerate() if t not in before] == []
+
+    def test_repeated_net_runs_keep_thread_count_flat(self):
+        cfg = _cfg(n_workers=2, total_epochs=5, server=ServerConfig(alpha=0.6, max_staleness=1))
+        _run_net(cfg)
+        count = threading.active_count()
+        for seed in range(1, 6):
+            _run_net(replace(cfg, seed=seed))
+        assert threading.active_count() == count
+
+
+def _raw_task(sock, worker_id=0):
+    """Take a Trigger and pull as ``worker_id``; returns the PullResponse."""
+    assert isinstance(read_message(sock), Trigger)
+    send_message(sock, PullRequest(worker_id=worker_id))
+    resp = read_message(sock)
+    assert isinstance(resp, PullResponse)
+    return resp
+
+
+class TestClientFieldValidation:
+    def test_out_of_range_worker_id_is_refused(self):
+        # a PullRequest claiming id 99 on a 1-worker server loses its connection
+        cfg = _cfg(total_epochs=1, worker=WorkerConfig(gamma=0.1, h_min=1, h_max=1))
+        server = TransportServer(cfg)
+        host, port = server.start()
+        with socket.create_connection((host, port), timeout=30) as sock:
+            assert isinstance(read_message(sock), Trigger)
+            send_message(sock, PullRequest(worker_id=99))
+            assert read_message(sock) is None
+        assert worker_loop((host, port), cfg, 0, problem=server.problem) == (1, 1)
+        result = server.wait(timeout=30)
+        assert result.state.epoch == 1
+        assert result.state.n_gradients == 1
+
+    def test_worker_id_held_by_another_connection_is_refused(self):
+        cfg = _cfg(n_workers=2, total_epochs=1, server=ServerConfig(alpha=0.6, max_staleness=1))
+        server = TransportServer(cfg)
+        host, port = server.start()
+        with socket.create_connection((host, port), timeout=30) as first:
+            resp = _raw_task(first, worker_id=0)
+            with socket.create_connection((host, port), timeout=30) as second:
+                assert isinstance(read_message(second), Trigger)
+                send_message(second, PullRequest(worker_id=0))
+                assert read_message(second) is None
+            send_message(
+                first, Push(worker_id=0, tau=resp.epoch, local_iters=2, params=resp.params)
+            )
+            assert read_message(first) == PushAck(accepted=True, current_epoch=1)
+            assert isinstance(read_message(first), Shutdown)
+        result = server.wait(timeout=30)
+        assert result.state.n_gradients == 2
+
+    def test_push_with_foreign_worker_id_or_no_steps_leaves_model_untouched(self):
+        cfg = _cfg(total_epochs=1, server=ServerConfig(alpha=0.5, max_staleness=0))
+        server = TransportServer(cfg)
+        x0 = server.problem.x0.copy()
+        host, port = server.start()
+        with socket.create_connection((host, port), timeout=30) as sock:
+            bad = [
+                dict(worker_id=12345, local_iters=-50),
+                dict(worker_id=0, local_iters=-50),
+                dict(worker_id=0, local_iters=0),
+                dict(worker_id=12345, local_iters=3),
+            ]
+            for fields in bad:
+                resp = _raw_task(sock)
+                np.testing.assert_array_equal(resp.params, x0)
+                send_message(sock, Push(tau=resp.epoch, params=resp.params + 1.0, **fields))
+                assert read_message(sock) == PushAck(accepted=False, current_epoch=0)
+            resp = _raw_task(sock)
+            send_message(
+                sock, Push(worker_id=0, tau=resp.epoch, local_iters=3, params=x0 + 1.0)
+            )
+            assert read_message(sock) == PushAck(accepted=True, current_epoch=1)
+            assert isinstance(read_message(sock), Shutdown)
+        result = server.wait(timeout=30)
+        np.testing.assert_array_equal(result.final_params, x0 + 0.5)
+        assert [r.gradients for r in result.records] == [0, 3]
+        assert result.state.n_gradients == 3
+        assert result.state.n_rejected == 0
+
+
+class TestDisconnects:
+    def test_clean_close_is_logged_as_disconnect(self, caplog):
+        cfg = _cfg(n_workers=2, total_epochs=2)
+        server = TransportServer(cfg)
+        host, port = server.start()
+        with caplog.at_level(logging.INFO, logger="fedasync.transport"):
+            with socket.create_connection((host, port), timeout=30) as sock:
+                _raw_task(sock, worker_id=0)
+            assert worker_loop((host, port), cfg, 1, problem=server.problem) == (2, 2)
+            server.wait(timeout=30)
+        messages = [r.getMessage() for r in caplog.records]
+        assert any("worker 0" in m and "disconnected" in m for m in messages)
+        assert not any("NoneType" in m for m in messages)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_worker_divergence_ends_the_net_run(self):
+        cfg = _cfg(
+            n_workers=2,
+            total_epochs=50,
+            server=ServerConfig(alpha=0.6, max_staleness=1),
+            worker=WorkerConfig(gamma=1e40, h_min=1, h_max=1, batch_size=None),
+        )
+        t0 = time.perf_counter()
+        with pytest.raises(RunFailure) as err:
+            _run_net(cfg)
+        assert isinstance(err.value.cause, DivergenceError)
+        assert err.value.epoch < cfg.total_epochs
+        assert time.perf_counter() - t0 < 30.0
