@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -369,38 +370,36 @@ def _build_experiment(values, mode, batch, compute_means) -> ExperimentConfig:
 def _run_net(cfg: ExperimentConfig) -> RunResult:
     """fedasync-net inside one process: real sockets, worker threads.
 
-    The server stops when the last worker thread stops, so a worker
-    error ends the run as soon as every worker is done, and is raised
-    here; a divergence becomes a RunFailure, as in the other runners.
+    A worker error stops the server at once, so the other workers take
+    their Shutdown, and is raised here; a divergence becomes a
+    RunFailure, as in the other runners.
     """
     import threading
 
     server = TransportServer(cfg)
     host, port = server.start()
     errors: list[Exception] = []
-    live = [cfg.n_workers]
-    lock = threading.Lock()
 
     def work(w: int) -> None:
         try:
             worker_loop((host, port), cfg, w, problem=server.problem)
         except Exception as exc:
             errors.append(exc)
-        finally:
-            with lock:
-                live[0] -= 1
-                last = live[0] == 0
-            if last:
-                server.stop()
+            server.stop()
 
     workers = [
         threading.Thread(target=work, args=(w,), daemon=True) for w in range(cfg.n_workers)
     ]
     for t in workers:
         t.start()
-    result = server.wait(timeout=600.0)
+    deadline = time.monotonic() + 600.0
     for t in workers:
-        t.join(timeout=60.0)
+        t.join(max(0.0, deadline - time.monotonic()))
+    timed_out = any(t.is_alive() for t in workers)
+    server.stop()
+    result = server.wait()
+    if timed_out:
+        raise TimeoutError("workers did not finish within 600 s")
     if errors:
         if isinstance(errors[0], DivergenceError):
             raise RunFailure(result.records, result.state.epoch, errors[0]) from errors[0]

@@ -327,6 +327,9 @@ class TransportServer:
     at most ``len(in flight)`` other tasks, the new one included, can be
     applied before it. When every task in flight was triggered at the
     current epoch the gate is the ``K + 1`` cap on concurrent tasks.
+    Otherwise it is stricter: the server waits on the oldest task in
+    flight, so a slow worker holds the others back (as in stale
+    synchronous parallel) instead of having its late push rejected.
 
     Pushes go through a queue to the single updater thread, which is
     the only mutator of the model. When the epoch counter reaches

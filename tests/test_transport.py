@@ -558,3 +558,21 @@ class TestDisconnects:
         assert isinstance(err.value.cause, DivergenceError)
         assert err.value.epoch < cfg.total_epochs
         assert time.perf_counter() - t0 < 30.0
+
+    def test_one_diverging_worker_ends_the_net_run(self, monkeypatch):
+        cfg = _cfg(n_workers=2, total_epochs=100_000, server=ServerConfig(alpha=0.6, max_staleness=1))
+        train = transport.local_train
+        calls = {1: 0}
+
+        def diverge_on_worker_1(*args, **kwargs):
+            if kwargs["worker_id"] == 1:
+                calls[1] += 1
+                if calls[1] == 3:
+                    raise DivergenceError("non-finite parameters")
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "local_train", diverge_on_worker_1)
+        with pytest.raises(RunFailure) as err:
+            _run_net(cfg)
+        assert isinstance(err.value.cause, DivergenceError)
+        assert err.value.epoch < 1_000
