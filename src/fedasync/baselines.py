@@ -105,7 +105,6 @@ def run_fedavg(
             state.params = np.mean([u.params for u in results], axis=0)
             state.epoch = rnd
             state.n_gradients += sum(u.local_iters for u in results)
-            state.history[rnd] = state.params.copy()
             if trajectory is not None:
                 trajectory.append(state.params.copy())
             if rnd % cfg.eval_every == 0 or rnd == rounds:

@@ -232,18 +232,26 @@ def partition_non_iid(
 
 
 def sample_minibatch(
-    shard: Shard, batch_size: int, rng: np.random.Generator
+    shard: Shard, batch_size: int, rng: np.random.Generator, steps: int | None = None
 ) -> MiniBatch:
     """Uniform with-replacement minibatch from one shard.
 
     Draw law: a single ``rng.integers(0, len(shard), size=batch_size)``
     call, so one batch costs exactly one generator invocation.
+
+    With ``steps``, one ``rng.integers(0, len(shard), size=(steps,
+    batch_size))`` call draws ``steps`` batches at once, and the arrays
+    gain a leading axis of length ``steps``. Row ``h`` and the stream
+    position afterwards equal those of ``steps`` successive single-batch
+    calls, so the draw law per batch is unchanged. The gather holds
+    ``steps * batch_size`` feature rows in memory.
     """
     if len(shard) == 0:
         raise ValueError("cannot sample from an empty shard")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    idx = rng.integers(0, len(shard), size=batch_size)
+    size = batch_size if steps is None else (steps, batch_size)
+    idx = rng.integers(0, len(shard), size=size)
     return MiniBatch(features=shard.features[idx], targets=shard.targets[idx])
 
 

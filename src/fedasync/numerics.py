@@ -115,9 +115,14 @@ class Objective(ABC):
     def loss(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
         """Mean loss of ``params`` on the batch."""
 
-    @abstractmethod
     def grad(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Gradient of :meth:`loss` with respect to ``params``."""
+        return self._grad(self._check(params, X), X, y)
+
+    @abstractmethod
+    def _grad(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The gradient kernel without validation: ``params`` must already
+        have passed :meth:`_check` against a feature matrix of ``X``'s width."""
 
     @abstractmethod
     def predict(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -155,8 +160,7 @@ class QuadraticObjective(Objective):
         r = X @ params - y
         return float(0.5 * np.dot(r, r) / X.shape[0])
 
-    def grad(self, params, X, y):
-        params = self._check(params, X)
+    def _grad(self, params, X, y):
         return X.T @ (X @ params - y) / X.shape[0]
 
     def predict(self, params, X):
@@ -190,8 +194,7 @@ class LogisticObjective(Objective):
         data = float(np.mean(np.logaddexp(0.0, -margins)))
         return data + 0.5 * self.l2 * float(np.dot(params, params))
 
-    def grad(self, params, X, y):
-        params = self._check(params, X)
+    def _grad(self, params, X, y):
         s = self._signs(y)
         margins = s * (X @ params)
         # d/dm log(1 + e^{-m}) = -sigmoid(-m); exponentiate only the
@@ -262,8 +265,7 @@ class MlpObjective(Objective):
         idx = np.asarray(y).astype(np.int64)
         return float(-np.mean(logp[np.arange(X.shape[0]), idx]))
 
-    def grad(self, params, X, y):
-        params = self._check(params, X)
+    def _grad(self, params, X, y):
         W1, b1, W2, b2 = self._unpack(params)
         m = X.shape[0]
         A1 = np.tanh(X @ W1 + b1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedasync.data import MiniBatch, Shard, sample_minibatch
+from fedasync.data import Shard, sample_minibatch
 from fedasync.numerics import Objective
 
 
@@ -116,7 +116,12 @@ def local_train(
     Each step takes a minibatch gradient plus ``rho * (x - anchor)``, the
     anchor staying fixed at the pulled model for the whole run. Draw law:
     one step-count draw, then one minibatch draw per step (none when
-    ``batch_size`` is None).
+    ``batch_size`` is None), made as one ``sample_minibatch(...,
+    steps=steps)`` call that holds ``steps * batch_size * dim`` floats.
+
+    The anchor and shard are validated once and finiteness is checked
+    once, on the final iterate; a non-finite result is replayed step by
+    step on the same batches to find the step that diverged.
 
     Raises
     ------
@@ -125,19 +130,46 @@ def local_train(
     """
     if len(shard) == 0:
         raise ValueError("cannot train on an empty shard")
-    x = np.array(anchor, dtype=np.float64)
+    anchor = objective._check(anchor, shard.features)
     steps = choose_steps(cfg, rng)
-    full: MiniBatch | None = None
     if cfg.batch_size is None:
-        full = MiniBatch(features=shard.features, targets=shard.targets)
-    for h in range(steps):
-        batch = full if full is not None else sample_minibatch(shard, cfg.batch_size, rng)
-        g = objective.grad(x, batch.features, batch.targets)
-        if cfg.rho != 0.0:
-            g = g + cfg.rho * (x - anchor)
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(h)
-        x -= cfg.gamma * g
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(h)
+        batches = [(shard.features, shard.targets)] * steps
+    else:
+        drawn = sample_minibatch(shard, cfg.batch_size, rng, steps=steps)
+        batches = list(zip(drawn.features, drawn.targets))
+    x = _descend(objective, anchor, batches, cfg, checked=False)
+    # Exact without per-step checks: a non-finite gradient makes the
+    # iterate non-finite in the same step (x -= gamma * g, and 0 * inf
+    # is NaN), and under that update a non-finite coordinate never
+    # becomes finite again. So the final iterate is finite exactly when
+    # every gradient and iterate along the way was.
+    if not np.isfinite(x).all():
+        _descend(objective, anchor, batches, cfg, checked=True)
     return LocalUpdate(params=x, tau=tau, worker_id=worker_id, local_iters=steps)
+
+
+def _descend(
+    objective: Objective,
+    anchor: np.ndarray,
+    batches: list[tuple[np.ndarray, np.ndarray]],
+    cfg: WorkerConfig,
+    checked: bool,
+) -> np.ndarray:
+    """The local SGD steps from ``anchor``, one per ``(X, y)`` batch.
+
+    ``checked`` raises ``DivergenceError`` at the first step whose
+    gradient or iterate is not finite; the caller has validated the
+    anchor and the features, so the unchecked gradient kernel is used.
+    """
+    grad, gamma, rho = objective._grad, cfg.gamma, cfg.rho
+    x = anchor.copy()
+    for h, (X, y) in enumerate(batches):
+        g = grad(x, X, y)
+        if rho != 0.0:
+            g = g + rho * (x - anchor)
+        if checked and not np.isfinite(g).all():
+            raise DivergenceError(h)
+        x -= gamma * g
+        if checked and not np.isfinite(x).all():
+            raise DivergenceError(h)
+    return x

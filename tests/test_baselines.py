@@ -115,6 +115,11 @@ class TestFedAvg:
         assert result.state.n_gradients == 12 * 3 * 4
         assert [r.epoch for r in result.records] == list(range(13))
 
+    def test_rounds_keep_no_model_history(self):
+        # nothing reads a FedAvg history, so memory must not grow with rounds
+        result = run_fedavg(_cfg(total_epochs=12), favg=FedAvgConfig(k=2))
+        assert list(result.state.history) == [0]
+
     def test_default_local_steps_is_range_midpoint(self):
         cfg = _cfg(total_epochs=3)  # h_min=2, h_max=6 -> midpoint 4
         result = run_fedavg(cfg, favg=FedAvgConfig(k=2))

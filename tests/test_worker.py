@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedasync.data import gen_regression, partition_non_iid, sample_minibatch, worker_rng
-from fedasync.numerics import QuadraticObjective
+from fedasync.data import (
+    gen_classification,
+    gen_regression,
+    partition_non_iid,
+    sample_minibatch,
+    worker_rng,
+)
+from fedasync.numerics import LogisticObjective, MlpObjective, QuadraticObjective
 from fedasync.worker import (
     DivergenceError,
     LocalUpdate,
@@ -17,6 +25,40 @@ from fedasync.worker import (
 def _shard(n=80, dim=2, seed=0):
     ds = gen_regression(n, dim, 0.1, seed=seed)
     return partition_non_iid(ds, 1, 0, seed=seed)[0]
+
+
+def _problem(kind, n):
+    """An objective and a one-device shard of ``n`` samples (dim 3)."""
+    if kind == "quadratic":
+        return QuadraticObjective(3), _shard(n=n, dim=3, seed=n)
+    classes = 2 if kind == "logistic" else 3
+    ds = gen_classification(n, 3, classes, 2.0, seed=n)
+    shard = partition_non_iid(ds, 1, classes, seed=n)[0]
+    if kind == "logistic":
+        return LogisticObjective(3, l2=0.01), shard
+    return MlpObjective(3, 5, 3), shard
+
+
+def _reference(objective, shard, anchor, cfg, rng):
+    """The documented recursion, one ``sample_minibatch`` call and one
+    finiteness check per step: the reference ``local_train`` must equal."""
+    steps = int(rng.integers(cfg.h_min, cfg.h_max + 1))
+    x = np.array(anchor, dtype=np.float64)
+    for h in range(steps):
+        if cfg.batch_size is None:
+            X, y = shard.features, shard.targets
+        else:
+            batch = sample_minibatch(shard, cfg.batch_size, rng)
+            X, y = batch.features, batch.targets
+        g = objective.grad(x, X, y)
+        if cfg.rho != 0.0:
+            g = g + cfg.rho * (x - anchor)
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError(h)
+        x -= cfg.gamma * g
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(h)
+    return x, steps
 
 
 class TestWorkerConfig:
@@ -168,6 +210,94 @@ class TestLocalTrain:
         cfg = WorkerConfig(gamma=0.1)
         with pytest.raises(ValueError, match="empty"):
             local_train(obj, empty, np.zeros(2), tau=0, cfg=cfg, rng=np.random.default_rng(0))
+
+
+class TestFusedTask:
+    """``local_train`` draws a task's batches at once and checks
+    finiteness once; both must be invisible against the per-step recursion."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["quadratic", "logistic", "mlp"]),
+        n=st.integers(3, 60),
+        batch_size=st.one_of(st.none(), st.integers(1, 9)),
+        h_min=st.integers(1, 4),
+        extra=st.integers(0, 6),
+        rho=st.sampled_from([0.0, 0.01, 0.7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_per_step_recursion(
+        self, kind, n, batch_size, h_min, extra, rho, seed
+    ):
+        objective, shard = _problem(kind, n)
+        anchor = np.random.default_rng(seed).standard_normal(objective.dim)
+        cfg = WorkerConfig(
+            gamma=0.1, rho=rho, h_min=h_min, h_max=h_min + extra, batch_size=batch_size
+        )
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        upd = local_train(objective, shard, anchor, tau=0, cfg=cfg, rng=rng_a)
+        x, steps = _reference(objective, shard, anchor, cfg, rng_b)
+        np.testing.assert_array_equal(upd.params, x)
+        assert upd.local_iters == steps
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @staticmethod
+    def _diverging(objective, shard, cfg_of, target):
+        """An anchor and config whose reference run diverges at step ``target``."""
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal(objective.dim)
+        for scale in (1.0, 1e200, 1e308):
+            for gamma in np.logspace(0.0, 300.0, 301):
+                cfg = cfg_of(float(gamma))
+                try:
+                    _reference(objective, shard, scale * base, cfg, np.random.default_rng(5))
+                except DivergenceError as err:
+                    if err.iteration == target:
+                        return scale * base, cfg
+        raise AssertionError(f"no grid point diverges at step {target}")
+
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+    @pytest.mark.parametrize("target", [0, 4, 8])
+    def test_divergence_reports_the_reference_step(self, kind, target):
+        objective, shard = _problem(kind, 40)
+
+        def cfg_of(gamma):
+            return WorkerConfig(gamma=gamma, rho=0.01, h_min=9, h_max=9, batch_size=3)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            anchor, cfg = self._diverging(objective, shard, cfg_of, target)
+            kept = anchor.copy()
+            rng = np.random.default_rng(5)
+            with pytest.raises(DivergenceError) as err:
+                local_train(objective, shard, anchor, tau=0, cfg=cfg, rng=rng)
+        assert err.value.iteration == target
+        np.testing.assert_array_equal(anchor, kept)
+        # draw law: the step count, then all nine batches, whatever step diverged
+        law = np.random.default_rng(5)
+        law.integers(9, 10)
+        for _ in range(9):
+            sample_minibatch(shard, 3, law)
+        assert rng.bit_generator.state == law.bit_generator.state
+
+    def test_full_batch_divergence_reports_the_reference_step(self):
+        objective, shard = _problem("quadratic", 40)
+
+        def cfg_of(gamma):
+            return WorkerConfig(gamma=gamma, h_min=6, h_max=6, batch_size=None)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            anchor, cfg = self._diverging(objective, shard, cfg_of, 3)
+            with pytest.raises(DivergenceError) as err:
+                local_train(objective, shard, anchor, 0, cfg, np.random.default_rng(5))
+        assert err.value.iteration == 3
+
+    def test_invalid_anchor_rejected_before_any_draw(self):
+        objective, shard = _problem("quadratic", 20)
+        cfg = WorkerConfig(gamma=0.1, h_min=2, h_max=4, batch_size=2)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="expected 3 parameters"):
+            local_train(objective, shard, np.zeros(2), tau=0, cfg=cfg, rng=rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestLocalUpdate:
