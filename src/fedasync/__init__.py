@@ -52,7 +52,6 @@ from fedasync.simulator import (
     RunFailure,
     RunResult,
     build_problem,
-    run_fedasync,
     run_fedasync_sampled,
     run_fedasync_latency,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "RunFailure",
     "RunResult",
     "build_problem",
-    "run_fedasync",
     "run_fedasync_sampled",
     "run_fedasync_latency",
     "FedAvgConfig",

@@ -15,14 +15,13 @@ from fedasync.data import SERVER_DOMAIN, Shard, domain_rng, worker_rng
 from fedasync.simulator import (
     ExperimentConfig,
     Problem,
-    RunFailure,
     RunResult,
-    _baseline_record,
     build_problem,
-    make_record,
+    drive,
+    make_record,  # not called here; bench/tracing.py patches it in every runner module
 )
 from fedasync.server import ServerState
-from fedasync.worker import DivergenceError, WorkerConfig, local_train
+from fedasync.worker import WorkerConfig, local_train
 
 
 @dataclass
@@ -82,9 +81,8 @@ def run_fedavg(
     state = ServerState.create(problem.x0)
     server_stream = domain_rng(cfg.seed, SERVER_DOMAIN)
     worker_streams = [worker_rng(cfg.seed, w) for w in range(cfg.n_workers)]
-    records = [_baseline_record(problem)]
-    trajectory: list[np.ndarray] | None = [] if record_trajectory else None
-    try:
+
+    def schedule():
         for rnd in range(1, rounds + 1):
             selected = sorted(
                 int(w)
@@ -105,28 +103,9 @@ def run_fedavg(
             state.params = np.mean([u.params for u in results], axis=0)
             state.epoch = rnd
             state.n_gradients += sum(u.local_iters for u in results)
-            if trajectory is not None:
-                trajectory.append(state.params.copy())
-            if rnd % cfg.eval_every == 0 or rnd == rounds:
-                records.append(
-                    make_record(
-                        problem,
-                        state.params,
-                        epoch=rnd,
-                        gradients=state.n_gradients,
-                        alpha_t=0.0,
-                        staleness=0,
-                        sim_time=0.0,
-                    )
-                )
-    except DivergenceError as exc:
-        raise RunFailure(records, state.epoch, exc) from exc
-    return RunResult(
-        records=records,
-        final_params=state.params.copy(),
-        state=state,
-        trajectory=trajectory,
-    )
+            yield 0.0
+
+    return drive(cfg, problem, state, schedule(), record_trajectory, epochs=rounds)
 
 
 def run_serial_sgd(
@@ -137,8 +116,10 @@ def run_serial_sgd(
     """Single-stream SGD over the pooled training data.
 
     Implemented as one local step per epoch through the shared solver,
-    consuming worker stream 0 exactly like an asynchronous worker would
-    (one step-count draw, one batch draw per step). With one step per
+    consuming worker stream 0 exactly like an asynchronous worker with
+    ``h_min = h_max = 1`` would: the step-count draw over that one-value
+    range leaves the stream untouched, so each epoch makes one batch
+    draw (none with ``batch_size`` None). With one step per
     epoch the proximal term vanishes, so this is plain SGD; each epoch
     costs exactly one gradient.
     """
@@ -159,9 +140,8 @@ def run_serial_sgd(
     )
     state = ServerState.create(problem.x0)
     stream = worker_rng(cfg.seed, 0)
-    records = [_baseline_record(problem)]
-    trajectory: list[np.ndarray] | None = [] if record_trajectory else None
-    try:
+
+    def schedule():
         for step in range(1, cfg.total_epochs + 1):
             upd = local_train(
                 problem.objective, pooled, state.params, state.epoch, lcfg, stream, 0
@@ -169,25 +149,6 @@ def run_serial_sgd(
             state.params = np.array(upd.params)
             state.epoch = step
             state.n_gradients += upd.local_iters
-            if trajectory is not None:
-                trajectory.append(state.params.copy())
-            if step % cfg.eval_every == 0 or step == cfg.total_epochs:
-                records.append(
-                    make_record(
-                        problem,
-                        state.params,
-                        epoch=step,
-                        gradients=state.n_gradients,
-                        alpha_t=0.0,
-                        staleness=0,
-                        sim_time=0.0,
-                    )
-                )
-    except DivergenceError as exc:
-        raise RunFailure(records, state.epoch, exc) from exc
-    return RunResult(
-        records=records,
-        final_params=state.params.copy(),
-        state=state,
-        trajectory=trajectory,
-    )
+            yield 0.0
+
+    return drive(cfg, problem, state, schedule(), record_trajectory)

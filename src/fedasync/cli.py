@@ -6,7 +6,8 @@ summary files), ``compare`` (align summaries on the gradients axis),
 dataset to a text file). Configuration is a flat ``key=value`` text
 file; the same ``key=value`` tokens on the command line override it.
 Every emitted file carries the fully resolved configuration as ``#``
-header comments.
+header comments. A configuration problem ends any subcommand with exit
+status 2 and every problem listed (caught once, in :func:`main`).
 """
 
 from __future__ import annotations
@@ -22,9 +23,13 @@ import numpy as np
 from fedasync.baselines import FedAvgConfig, run_fedavg, run_serial_sgd
 from fedasync.data import gen_classification, gen_regression, save_dataset
 from fedasync.metrics import (
-    CSV_HEADER,
+    CSV_HEADER,  # not used here; bench/test_checks.py reads cli.CSV_HEADER
+    FIELDS,
     MetricsRecord,
+    cell,
+    read_csv,
     save_params,
+    write_csv,
     write_metrics_csv,
     write_metrics_jsonl,
 )
@@ -433,70 +438,26 @@ def _rep_header(spec: RunSpec, rep: int) -> dict[str, object]:
 
 
 def _mean_rows(all_records: list[list[MetricsRecord]]) -> list[dict[str, float | None]]:
-    """Average rep curves row by row (reps share the eval schedule)."""
-    n_rows = min(len(recs) for recs in all_records)
+    """Average rep curves row by row (reps share the eval schedule);
+    a column with any None (accuracy on regression) stays None."""
     rows = []
-    for i in range(n_rows):
-        group = [recs[i] for recs in all_records]
-        accs = [r.accuracy for r in group]
-        rows.append(
-            {
-                "epoch": float(np.mean([r.epoch for r in group])),
-                "gradients": float(np.mean([r.gradients for r in group])),
-                "loss": float(np.mean([r.loss for r in group])),
-                "grad_norm_sq": float(np.mean([r.grad_norm_sq for r in group])),
-                "accuracy": None
-                if any(a is None for a in accs)
-                else float(np.mean(accs)),
-                "alpha_t": float(np.mean([r.alpha_t for r in group])),
-                "staleness": float(np.mean([r.staleness for r in group])),
-                "sim_time": float(np.mean([r.sim_time for r in group])),
-            }
-        )
+    for group in zip(*all_records):
+        row: dict[str, float | None] = {}
+        for name in FIELDS:
+            values = [getattr(r, name) for r in group]
+            row[name] = None if None in values else float(np.mean(values))
+        rows.append(row)
     return rows
 
 
-def _write_summary(path: str, header: dict[str, object], rows: list[dict]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for key, value in header.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fields = []
-            for name in CSV_HEADER.split(","):
-                v = row[name]
-                fields.append("" if v is None else repr(float(v)))
-            fh.write(",".join(fields) + "\n")
-
-
 def _load_summary(path: str) -> tuple[dict[str, str], list[dict]]:
-    header: dict[str, str] = {}
-    rows: list[dict] = []
-    with open(path, "r", encoding="ascii") as fh:
-        names = None
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                header[key] = value
-                continue
-            if not line:
-                continue
-            if names is None:
-                if line != CSV_HEADER:
-                    raise ValueError(f"{path}: unexpected header {line!r}")
-                names = line.split(",")
-                continue
-            parts = line.split(",")
-            rows.append(
-                {
-                    name: (None if part == "" else float(part))
-                    for name, part in zip(names, parts)
-                }
-            )
-    if names is None:
-        raise ValueError(f"{path}: no data header found")
-    return header, rows
+    header, rows = read_csv(path)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return header, [
+        {name: (None if part == "" else float(part)) for name, part in zip(FIELDS, row)}
+        for row in rows
+    ]
 
 
 def gradients_to_threshold(rows: list[dict], frac: float) -> float | None:
@@ -511,11 +472,7 @@ def gradients_to_threshold(rows: list[dict], frac: float) -> float | None:
 
 
 def cmd_run(args) -> int:
-    try:
-        spec = parse_config(args.config, args.overrides)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    spec = parse_config(args.config, args.overrides)
     try:
         os.makedirs(args.out, exist_ok=False)
     except FileExistsError:
@@ -531,9 +488,8 @@ def cmd_run(args) -> int:
         try:
             result = _dispatch(spec, cfg)
         except RunFailure as exc:
-            write_metrics_csv(exc.records, rep_path, header)
-            with open(rep_path, "a", encoding="ascii") as fh:
-                fh.write(f"# run-failed: {exc}\n")
+            rows = (rec.cells() for rec in exc.records)
+            write_csv(rep_path, rows, header, footer=f"run-failed: {exc}")
             print(f"rep {rep}: FAILED: {exc}", file=sys.stderr)
             failed = True
             continue
@@ -549,7 +505,7 @@ def cmd_run(args) -> int:
     summary_header = dict(spec.resolved)
     summary_header["reps_averaged"] = spec.repeats
     summary_path = os.path.join(args.out, "summary.csv")
-    _write_summary(summary_path, summary_header, rows)
+    write_csv(summary_path, ([cell(row[n]) for n in FIELDS] for row in rows), summary_header)
 
     final = rows[-1]
     reached = gradients_to_threshold(rows, spec.threshold_frac)
@@ -609,16 +565,10 @@ def cmd_compare(args) -> int:
         )
 
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("run," + CSV_HEADER + "\n")
-            for path, _, rows in loaded:
-                label = path
-                for row in rows:
-                    fields = [label]
-                    for name in CSV_HEADER.split(","):
-                        v = row[name]
-                        fields.append("" if v is None else repr(float(v)))
-                    fh.write(",".join(fields) + "\n")
+        merged = (
+            [path] + [cell(row[n]) for n in FIELDS] for path, _, rows in loaded for row in rows
+        )
+        write_csv(args.out, merged, columns=["run", *FIELDS])
         print(f"merged table written to {args.out}")
     return 0
 
@@ -631,11 +581,7 @@ def _parse_hostport(text: str) -> tuple[str, int]:
 
 
 def cmd_serve(args) -> int:
-    try:
-        spec = parse_config(args.config, args.overrides, require_algorithm=False)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    spec = parse_config(args.config, args.overrides, require_algorithm=False)
     try:
         host, port = _parse_hostport(args.bind)
     except ValueError as exc:
@@ -665,11 +611,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    try:
-        spec = parse_config(args.config, args.overrides, require_algorithm=False)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    spec = parse_config(args.config, args.overrides, require_algorithm=False)
     try:
         host, port = _parse_hostport(args.connect)
     except ValueError as exc:
@@ -681,11 +623,7 @@ def cmd_worker(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    try:
-        spec = parse_config(args.config, args.overrides, require_algorithm=False)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    spec = parse_config(args.config, args.overrides, require_algorithm=False)
     cfg = spec.cfg
     if os.path.exists(args.out):
         print(f"refusing to overwrite existing file {args.out!r}", file=sys.stderr)
@@ -758,7 +696,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Run metrics: a fixed schema, written byte-deterministically.
 
 Two sinks share one schema: CSV with ``#`` config comments, and JSONL.
+:func:`write_csv` and :func:`read_csv` are the one CSV reader/writer,
+used for the per-repetition metrics, the summaries and merged tables.
 Floats are rendered with shortest round-trip repr and no line carries a
 timestamp, so re-running the same seeded configuration reproduces the
 files exactly, byte for byte.
@@ -9,6 +11,7 @@ files exactly, byte for byte.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,20 +40,20 @@ class MetricsRecord:
     staleness: int
     sim_time: float
 
+    def cells(self) -> list[str]:
+        return [
+            str(self.epoch),
+            str(self.gradients),
+            cell(self.loss),
+            cell(self.grad_norm_sq),
+            cell(self.accuracy),
+            cell(self.alpha_t),
+            str(self.staleness),
+            cell(self.sim_time),
+        ]
+
     def csv_row(self) -> str:
-        acc = "" if self.accuracy is None else repr(float(self.accuracy))
-        return ",".join(
-            [
-                str(self.epoch),
-                str(self.gradients),
-                repr(float(self.loss)),
-                repr(float(self.grad_norm_sq)),
-                acc,
-                repr(float(self.alpha_t)),
-                str(self.staleness),
-                repr(float(self.sim_time)),
-            ]
-        )
+        return ",".join(self.cells())
 
     def json_obj(self) -> dict:
         return {
@@ -65,6 +68,66 @@ class MetricsRecord:
         }
 
 
+def cell(value: float | None) -> str:
+    """One float cell: shortest round-trip repr, empty for None."""
+    return "" if value is None else repr(float(value))
+
+
+def write_csv(
+    path: str,
+    rows: Iterable[Sequence[str]],
+    comments: dict[str, object] | None = None,
+    columns: Sequence[str] = FIELDS,
+    footer: str | None = None,
+) -> None:
+    """The one CSV format: ``# key=value`` comment lines in the order
+    given, the ``columns`` header, one line per row of cells, and an
+    optional ``# footer`` line after the rows."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        for key, value in (comments or {}).items():
+            fh.write(f"# {key}={value}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+        if footer is not None:
+            fh.write(f"# {footer}\n")
+
+
+def read_csv(path: str) -> tuple[dict[str, str], list[list[str]]]:
+    """Read a file in the :func:`write_csv` format with the metrics columns.
+
+    Returns the ``# key=value`` comments and the rows as lists of cells.
+    Other ``#`` lines and blank lines are skipped. The header must be
+    :data:`CSV_HEADER` and every row must have one cell per column.
+    """
+    comments: dict[str, str] = {}
+    rows: list[list[str]] = []
+    header_seen = False
+    with open(path, "r", encoding="ascii") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if line.startswith("# "):
+                key, _, value = line[2:].partition("=")
+                comments[key] = value
+                continue
+            if not line or line.startswith("#"):
+                continue
+            if not header_seen:
+                if line != CSV_HEADER:
+                    raise ValueError(f"{path}:{line_no}: unexpected header {line!r}")
+                header_seen = True
+                continue
+            parts = line.split(",")
+            if len(parts) != len(FIELDS):
+                raise ValueError(
+                    f"{path}:{line_no}: {len(parts)} fields, expected {len(FIELDS)}"
+                )
+            rows.append(parts)
+    if not header_seen:
+        raise ValueError(f"{path}: no header line found")
+    return comments, rows
+
+
 def write_metrics_csv(
     records: list[MetricsRecord], path: str, config: dict[str, object] | None = None
 ) -> None:
@@ -73,12 +136,7 @@ def write_metrics_csv(
     The comment block reflects only the configuration handed in (never
     clocks or hostnames); keys are emitted in the order given.
     """
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for key, value in (config or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
+    write_csv(path, (rec.cells() for rec in records), config)
 
 
 def write_metrics_jsonl(records: list[MetricsRecord], path: str) -> None:
@@ -103,35 +161,16 @@ def load_params(path: str) -> np.ndarray:
 
 def load_metrics_csv(path: str) -> list[MetricsRecord]:
     """Read back a file produced by :func:`write_metrics_csv`."""
-    records = []
-    with open(path, "r", encoding="ascii") as fh:
-        header_seen = False
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != CSV_HEADER:
-                    raise ValueError(f"{path}:{line_no}: unexpected header {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != len(FIELDS):
-                raise ValueError(
-                    f"{path}:{line_no}: {len(parts)} fields, expected {len(FIELDS)}"
-                )
-            records.append(
-                MetricsRecord(
-                    epoch=int(parts[0]),
-                    gradients=int(parts[1]),
-                    loss=float(parts[2]),
-                    grad_norm_sq=float(parts[3]),
-                    accuracy=None if parts[4] == "" else float(parts[4]),
-                    alpha_t=float(parts[5]),
-                    staleness=int(parts[6]),
-                    sim_time=float(parts[7]),
-                )
-            )
-    if not header_seen:
-        raise ValueError(f"{path}: no header line found")
-    return records
+    return [
+        MetricsRecord(
+            epoch=int(row[0]),
+            gradients=int(row[1]),
+            loss=float(row[2]),
+            grad_norm_sq=float(row[3]),
+            accuracy=None if row[4] == "" else float(row[4]),
+            alpha_t=float(row[5]),
+            staleness=int(row[6]),
+            sim_time=float(row[7]),
+        )
+        for row in read_csv(path)[1]
+    ]

@@ -1,5 +1,11 @@
 """Deterministic in-process execution of the asynchronous protocol.
 
+:func:`drive` is the run loop of every algorithm (these two modes, the
+baselines and the TCP server's updater): evaluation schedule,
+trajectory, divergence handling and the :class:`RunResult`. Each runner
+supplies only its scheduler, the generator that decides which worker
+trains next and commits its update.
+
 Two modes share all of the numeric machinery and differ only in how
 staleness arises:
 
@@ -16,6 +22,8 @@ staleness arises:
 from __future__ import annotations
 
 import heapq
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,19 +217,11 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     return Problem(objective=objective, train=train, eval_set=eval_set, shards=shards, x0=x0)
 
 
-def make_record(
-    problem: Problem,
-    params: np.ndarray,
-    *,
-    epoch: int,
-    gradients: int,
-    alpha_t: float,
-    staleness: int,
-    sim_time: float,
-) -> MetricsRecord:
-    """Evaluate ``params``: loss and gradient norm on the full training
-    split, accuracy on the held-out split."""
-    obj = problem.objective
+def make_record(problem: Problem, state: ServerState, sim_time: float) -> MetricsRecord:
+    """Evaluate the server's model: loss and gradient norm on the full
+    training split, accuracy on the held-out split; epoch, gradients,
+    ``alpha_t`` and staleness as ``state`` holds them."""
+    obj, params = problem.objective, state.params
     loss = obj.loss(params, problem.train.features, problem.train.targets)
     g = obj.grad(params, problem.train.features, problem.train.targets)
     try:
@@ -229,26 +229,52 @@ def make_record(
     except NotImplementedError:
         acc = None
     return MetricsRecord(
-        epoch=epoch,
-        gradients=gradients,
+        epoch=state.epoch,
+        gradients=state.n_gradients,
         loss=loss,
         grad_norm_sq=float(np.dot(g, g)),
         accuracy=acc,
-        alpha_t=alpha_t,
-        staleness=staleness,
+        alpha_t=state.last_alpha,
+        staleness=state.last_staleness,
         sim_time=sim_time,
     )
 
 
-def _baseline_record(problem: Problem) -> MetricsRecord:
-    return make_record(
-        problem,
-        problem.x0,
-        epoch=0,
-        gradients=0,
-        alpha_t=0.0,
-        staleness=0,
-        sim_time=0.0,
+def drive(
+    cfg: ExperimentConfig,
+    problem: Problem,
+    state: ServerState,
+    schedule: Iterator[float],
+    record_trajectory: bool = False,
+    epochs: int | None = None,
+) -> RunResult:
+    """The server loop every algorithm shares around its ``schedule``.
+
+    ``schedule`` is a generator that commits one update to ``state`` per
+    item (advancing ``state.epoch``) and yields that update's
+    ``sim_time``. The loop evaluates the model at epoch 0, after
+    every ``cfg.eval_every`` epochs and at the last epoch, ``epochs``
+    (default ``cfg.total_epochs``); with ``record_trajectory`` it keeps
+    a copy of the model after every update. A :class:`DivergenceError`
+    raised by the scheduler becomes a :class:`RunFailure` carrying the
+    rows so far.
+    """
+    last = cfg.total_epochs if epochs is None else epochs
+    records = [make_record(problem, state, 0.0)]
+    trajectory: list[np.ndarray] | None = [] if record_trajectory else None
+    try:
+        for sim_time in schedule:
+            if trajectory is not None:
+                trajectory.append(state.params.copy())
+            if state.epoch % cfg.eval_every == 0 or state.epoch == last:
+                records.append(make_record(problem, state, sim_time))
+    except DivergenceError as exc:
+        raise RunFailure(records, state.epoch, exc) from exc
+    return RunResult(
+        records=records,
+        final_params=state.params.copy(),
+        state=state,
+        trajectory=trajectory,
     )
 
 
@@ -271,9 +297,8 @@ def run_fedasync_sampled(
     state = ServerState.create(problem.x0)
     server_stream = domain_rng(cfg.seed, SERVER_DOMAIN)
     worker_streams = [worker_rng(cfg.seed, w) for w in range(cfg.n_workers)]
-    records = [_baseline_record(problem)]
-    trajectory: list[np.ndarray] | None = [] if record_trajectory else None
-    try:
+
+    def schedule():
         for _ in range(cfg.total_epochs):
             hi = min(cfg.server.max_staleness, state.epoch)
             s = int(server_stream.integers(0, hi + 1))
@@ -288,29 +313,10 @@ def run_fedasync_sampled(
                 worker_streams[w],
                 worker_id=w,
             )
-            alpha_t = apply_update(state, cfg.server, upd)
-            if trajectory is not None:
-                trajectory.append(state.params.copy())
-            if state.epoch % cfg.eval_every == 0 or state.epoch == cfg.total_epochs:
-                records.append(
-                    make_record(
-                        problem,
-                        state.params,
-                        epoch=state.epoch,
-                        gradients=state.n_gradients,
-                        alpha_t=alpha_t,
-                        staleness=state.last_staleness,
-                        sim_time=0.0,
-                    )
-                )
-    except DivergenceError as exc:
-        raise RunFailure(records, state.epoch, exc) from exc
-    return RunResult(
-        records=records,
-        final_params=state.params.copy(),
-        state=state,
-        trajectory=trajectory,
-    )
+            apply_update(state, cfg.server, upd)
+            yield 0.0
+
+    return drive(cfg, problem, state, schedule(), record_trajectory)
 
 
 def run_fedasync_latency(
@@ -331,83 +337,48 @@ def run_fedasync_latency(
     state = ServerState.create(problem.x0)
     worker_streams = [worker_rng(cfg.seed, w) for w in range(cfg.n_workers)]
     delay_streams = [delay_rng(cfg.seed, w) for w in range(cfg.n_workers)]
-    records = [_baseline_record(problem)]
-    trajectory: list[np.ndarray] | None = [] if record_trajectory else None
-
-    heap: list[tuple[float, int, int, object]] = []
-    seq = 0
-    idle = set(range(cfg.n_workers))
-    in_flight = 0
-    cursor = 0
     apply_log: list[tuple[int, int]] = []
 
-    def dispatch(now: float):
-        nonlocal seq, in_flight, cursor
-        chosen, cursor = plan_triggers(
-            sorted(idle), in_flight, cfg.server.max_staleness, cursor
-        )
-        for w in chosen:
-            idle.discard(w)
-            in_flight += 1
-            tau, params = state.pull()
-            upd = local_train(
-                problem.objective,
-                problem.shards[w],
-                params,
-                tau,
-                cfg.worker,
-                worker_streams[w],
-                worker_id=w,
-            )
-            done = now + cfg.delay.draw(w, delay_streams[w])
-            heapq.heappush(heap, (done, seq, w, upd))
-            seq += 1
+    def schedule():
+        heap: list[tuple[float, int, int, object]] = []  # the tasks in flight
+        seq = itertools.count()
+        idle = set(range(cfg.n_workers))
+        cursor = 0
 
-    try:
+        def dispatch(now: float):
+            nonlocal cursor
+            chosen, cursor = plan_triggers(
+                sorted(idle), len(heap), cfg.server.max_staleness, cursor
+            )
+            for w in chosen:
+                idle.discard(w)
+                tau, params = state.pull()
+                upd = local_train(
+                    problem.objective,
+                    problem.shards[w],
+                    params,
+                    tau,
+                    cfg.worker,
+                    worker_streams[w],
+                    worker_id=w,
+                )
+                done = now + cfg.delay.draw(w, delay_streams[w])
+                heapq.heappush(heap, (done, next(seq), w, upd))
+
         dispatch(0.0)
         while heap and state.epoch < cfg.total_epochs:
             now, _, w, upd = heapq.heappop(heap)
-            in_flight -= 1
             idle.add(w)
             try:
-                alpha_t = apply_update(state, cfg.server, upd)
+                apply_update(state, cfg.server, upd)
             except StaleUpdateError:
                 dispatch(now)
                 continue
             apply_log.append((w, state.last_staleness))
-            if trajectory is not None:
-                trajectory.append(state.params.copy())
-            if state.epoch % cfg.eval_every == 0 or state.epoch == cfg.total_epochs:
-                records.append(
-                    make_record(
-                        problem,
-                        state.params,
-                        epoch=state.epoch,
-                        gradients=state.n_gradients,
-                        alpha_t=alpha_t,
-                        staleness=state.last_staleness,
-                        sim_time=now,
-                    )
-                )
+            yield now
             if state.epoch < cfg.total_epochs:
                 dispatch(now)
-    except DivergenceError as exc:
-        raise RunFailure(records, state.epoch, exc) from exc
-    return RunResult(
-        records=records,
-        final_params=state.params.copy(),
-        state=state,
-        trajectory=trajectory,
-        apply_log=apply_log,
-    )
 
-
-def run_fedasync(
-    cfg: ExperimentConfig,
-    problem: Problem | None = None,
-    record_trajectory: bool = False,
-) -> RunResult:
-    """Run the asynchronous protocol in the configured mode."""
-    if cfg.mode == "sampled":
-        return run_fedasync_sampled(cfg, problem, record_trajectory)
-    return run_fedasync_latency(cfg, problem, record_trajectory)
+    result = drive(cfg, problem, state, schedule(), record_trajectory)
+    result.apply_log = apply_log
+    return result

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedasync.data import worker_rng
-from fedasync.metrics import MetricsRecord
 from fedasync.server import (
     ProtocolError,
     ServerState,
@@ -36,9 +35,9 @@ from fedasync.simulator import (
     ExperimentConfig,
     Problem,
     RunResult,
-    _baseline_record,
     build_problem,
-    make_record,
+    drive,
+    make_record,  # not called here; bench/tracing.py patches it in every runner module
 )
 from fedasync.worker import LocalUpdate, local_train
 
@@ -332,7 +331,8 @@ class TransportServer:
     synchronous parallel) instead of having its late push rejected.
 
     Pushes go through a queue to the single updater thread, which is
-    the only mutator of the model. When the epoch counter reaches
+    the only mutator of the model and runs the shared run loop
+    (:func:`fedasync.simulator.drive`). When the epoch counter reaches
     ``total_epochs`` every connection receives Shutdown.
     """
 
@@ -350,7 +350,7 @@ class TransportServer:
         self.cfg = cfg
         self.problem = problem if problem is not None else build_problem(cfg)
         self.state = ServerState.create(self.problem.x0)
-        self.records: list[MetricsRecord] = [_baseline_record(self.problem)]
+        self._result: RunResult | None = None  # set by the updater when it ends
         self.max_frame = max_frame
         self.socket_timeout = socket_timeout
         self._host, self._port = host, port
@@ -401,11 +401,9 @@ class TransportServer:
             self._teardown(grace=0.0)
             raise TimeoutError(f"run did not finish within {timeout} s")
         self._teardown(grace=self.socket_timeout)
-        with self._lock:
-            final = self.state.params.copy()
-        return RunResult(
-            records=self.records, final_params=final, state=self.state, trajectory=None
-        )
+        if self._result is None:
+            raise RuntimeError("the updater thread did not finish")
+        return self._result
 
     def _teardown(self, grace: float) -> None:
         """Join every server thread under one deadline. Connections get
@@ -524,81 +522,47 @@ class TransportServer:
                     self._bound.discard(worker_id)
 
     def _updater(self):
-        cfg = self.cfg
-        while True:
-            item = self._queue.get()
-            if item is self._STOP:
-                return
+        self._result = drive(self.cfg, self.problem, self.state, self._applied())
+
+    def _applied(self):
+        """The updater's scheduler for :func:`drive`: queued pushes in
+        arrival order, one step per accepted push. Being the model's only
+        writer, it lets the run loop evaluate ``state.params`` unlocked; the
+        ack goes out after that evaluation."""
+        while (item := self._queue.get()) is not self._STOP:
             push, worker_id, verdict = item
             with self._lock:
-                if self._done:
-                    verdict.put((False, self.state.epoch))
-                    continue
-                try:
-                    if push.worker_id != worker_id:
-                        raise ProtocolError(
-                            f"push names worker {push.worker_id} on a connection "
-                            f"bound to worker {worker_id}"
-                        )
-                    upd = LocalUpdate(
-                        params=np.array(push.params, dtype=np.float64),
-                        tau=push.tau,
-                        worker_id=push.worker_id,
-                        local_iters=push.local_iters,
-                    )
-                    alpha_t = apply_update(self.state, cfg.server, upd)
-                    accepted = True
-                except StaleUpdateError as exc:
-                    log.info("rejected stale push from worker %s: %s", worker_id, exc)
-                    accepted = False
-                except ProtocolError as exc:
-                    log.error("protocol error from worker %s: %s", worker_id, exc)
-                    accepted = False
-                epoch = self.state.epoch
-                snap = self.state.params.copy()
-                gradients = self.state.n_gradients
-                last_alpha = self.state.last_alpha
-                last_staleness = self.state.last_staleness
-                if accepted and epoch >= cfg.total_epochs:
+                accepted = not self._done and self._apply(push, worker_id)
+                if accepted and self.state.epoch >= self.cfg.total_epochs:
                     self._done = True
                     self._slots.notify_all()
-            if accepted and (
-                epoch % cfg.eval_every == 0 or epoch == cfg.total_epochs
-            ):
-                self.records.append(
-                    make_record(
-                        self.problem,
-                        snap,
-                        epoch=epoch,
-                        gradients=gradients,
-                        alpha_t=last_alpha,
-                        staleness=last_staleness,
-                        sim_time=0.0,
-                    )
-                )
-            verdict.put((accepted, epoch))
+            if accepted:
+                yield 0.0
+            verdict.put((accepted, self.state.epoch))
             if self._done:
                 self._done_event.set()
 
-
-def serve(
-    cfg: ExperimentConfig,
-    problem: Problem | None = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    on_listening=None,
-    timeout: float | None = None,
-) -> RunResult:
-    """Run a server to completion; convenience wrapper over TransportServer.
-
-    ``on_listening(host, port)`` fires once the socket is bound, which is
-    how a parent process learns an OS-assigned port.
-    """
-    server = TransportServer(cfg, problem=problem, host=host, port=port)
-    bound_host, bound_port = server.start()
-    if on_listening is not None:
-        on_listening(bound_host, bound_port)
-    return server.wait(timeout)
+    def _apply(self, push: Push, worker_id: int) -> bool:
+        """Apply one push to the model; lock held. False if refused."""
+        try:
+            if push.worker_id != worker_id:
+                raise ProtocolError(
+                    f"push names worker {push.worker_id} on a connection "
+                    f"bound to worker {worker_id}"
+                )
+            upd = LocalUpdate(
+                params=np.array(push.params, dtype=np.float64),
+                tau=push.tau,
+                worker_id=push.worker_id,
+                local_iters=push.local_iters,
+            )
+            apply_update(self.state, self.cfg.server, upd)
+            return True
+        except StaleUpdateError as exc:
+            log.info("rejected stale push from worker %s: %s", worker_id, exc)
+        except ProtocolError as exc:
+            log.error("protocol error from worker %s: %s", worker_id, exc)
+        return False
 
 
 def worker_loop(

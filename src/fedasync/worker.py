@@ -96,8 +96,9 @@ class LocalUpdate:
 def choose_steps(cfg: WorkerConfig, rng: np.random.Generator) -> int:
     """Number of local steps: one ``rng.integers(h_min, h_max + 1)`` draw.
 
-    The draw happens even when ``h_min == h_max`` so the stream position
-    never depends on the configured bounds.
+    When ``h_min == h_max`` numpy returns the one value without touching
+    the bit generator, so a degenerate range consumes nothing from the
+    stream (every FedAvg and serial-SGD task draws from such a range).
     """
     return int(rng.integers(cfg.h_min, cfg.h_max + 1))
 

@@ -262,6 +262,27 @@ class TestCmdCompare:
         assert rc == 2
         assert "cannot load" in capsys.readouterr().err
 
+    def test_summary_row_with_too_few_fields(self, tmp_path, capsys):
+        summary = self._small_run(tmp_path, "a")
+        lines = summary.read_text().splitlines()
+        lines[-1] = lines[-1].rpartition(",")[0]
+        summary.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["compare", str(summary), str(summary)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"cannot load {summary}:" in err and "7 fields, expected 8" in err
+
+    def test_summary_without_rows(self, tmp_path, capsys):
+        summary = self._small_run(tmp_path, "a")
+        kept = [ln for ln in summary.read_text().splitlines(True) if ln.startswith("#")]
+        summary.write_text("".join(kept) + "epoch,gradients,loss,grad_norm_sq,"
+                           "accuracy,alpha_t,staleness,sim_time\n")
+        capsys.readouterr()
+        rc = main(["compare", str(summary), str(summary)])
+        assert rc == 2
+        assert f"cannot load {summary}:" in capsys.readouterr().err
+
     def test_fedasync_beats_fedavg_per_gradient(self, tmp_path, capsys):
         # paired desk-scale comparison at the quadratic defaults: the
         # asynchronous run should hit the 10% loss threshold with no

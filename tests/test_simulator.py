@@ -10,7 +10,6 @@ from fedasync.simulator import (
     ExperimentConfig,
     RunFailure,
     build_problem,
-    run_fedasync,
     run_fedasync_latency,
     run_fedasync_sampled,
 )
@@ -280,14 +279,6 @@ class TestLatencyMode:
         slow = np.mean(by_worker[0])
         fast = np.mean(by_worker[1] + by_worker[2] + by_worker[3])
         assert slow > fast
-
-    def test_mode_dispatcher(self):
-        a = run_fedasync(_cfg(total_epochs=10))
-        b = run_fedasync_sampled(_cfg(total_epochs=10))
-        np.testing.assert_array_equal(a.final_params, b.final_params)
-        c = run_fedasync(_cfg(mode="latency", total_epochs=10))
-        d = run_fedasync_latency(_cfg(mode="latency", total_epochs=10))
-        np.testing.assert_array_equal(c.final_params, d.final_params)
 
 
 class TestConvergenceSanity:

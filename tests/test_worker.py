@@ -94,7 +94,8 @@ class TestChooseSteps:
         assert choose_steps(cfg, np.random.default_rng(0)) == 10
 
     def test_draw_consumed_even_when_range_degenerate(self):
-        # stream position must not depend on whether h_min == h_max
+        # the draw matches a direct rng.integers(10, 11) call; neither call
+        # moves the stream (see test_degenerate_range_leaves_stream_untouched)
         cfg = WorkerConfig(gamma=0.1, h_min=10, h_max=10)
         rng_a = np.random.default_rng(3)
         choose_steps(cfg, rng_a)
@@ -103,6 +104,13 @@ class TestChooseSteps:
         np.testing.assert_array_equal(
             rng_a.standard_normal(4), rng_b.standard_normal(4)
         )
+
+    def test_degenerate_range_leaves_stream_untouched(self):
+        cfg = WorkerConfig(gamma=0.1, h_min=10, h_max=10)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert choose_steps(cfg, rng) == 10
+        assert rng.bit_generator.state == before
 
     def test_uniform_over_inclusive_range(self):
         cfg = WorkerConfig(gamma=0.1, h_min=5, h_max=20)
