@@ -7,11 +7,12 @@ aggregation rule, not from incidental implementation drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from fedasync.data import SERVER_DOMAIN, Shard, domain_rng, worker_rng
+from fedasync.rules import at_least, optional, validate
 from fedasync.simulator import (
     ExperimentConfig,
     Problem,
@@ -32,17 +33,12 @@ class FedAvgConfig:
     epoch budget and the midpoint of its local step range.
     """
 
-    k: int = 10
-    rounds: int | None = None
-    local_steps: int | None = None
+    k: int = field(default=10, metadata=at_least(1))
+    rounds: int | None = field(default=None, metadata=optional(at_least(1)))
+    local_steps: int | None = field(default=None, metadata=optional(at_least(1)))
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"need k >= 1, got {self.k}")
-        if self.rounds is not None and self.rounds < 1:
-            raise ValueError(f"need rounds >= 1, got {self.rounds}")
-        if self.local_steps is not None and self.local_steps < 1:
-            raise ValueError(f"need local_steps >= 1, got {self.local_steps}")
+        validate(self)
 
 
 def run_fedavg(

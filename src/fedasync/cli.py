@@ -5,9 +5,17 @@ summary files), ``compare`` (align summaries on the gradients axis),
 ``serve`` / ``worker`` (the TCP deployment), and ``gen-data`` (write a
 dataset to a text file). Configuration is a flat ``key=value`` text
 file; the same ``key=value`` tokens on the command line override it.
-Every emitted file carries the fully resolved configuration as ``#``
-header comments. A configuration problem ends any subcommand with exit
-status 2 and every problem listed (caught once, in :func:`main`).
+
+Each key is one row of :data:`KEYS`: the dataclass that owns its field,
+its command-line default, how its text parses, and the algorithm, task
+or strategy values it applies to. Its bound is the rule on that field
+(:mod:`fedasync.rules`). Parsing, the range and applicability checks,
+the construction of the configuration objects, and the ``# key=value``
+header that every emitted file carries all come from these rows.
+:func:`parse_config` also checks the conditions that span keys, so a
+configuration problem ends any subcommand before it writes anything,
+with exit status 2 and every problem listed (caught once, in
+:func:`main`).
 """
 
 from __future__ import annotations
@@ -16,12 +24,14 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from fedasync.baselines import FedAvgConfig, run_fedavg, run_serial_sgd
-from fedasync.data import gen_classification, gen_regression, save_dataset
+from fedasync.data import eval_rows, save_dataset
 from fedasync.metrics import (
     CSV_HEADER,  # not used here; bench/test_checks.py reads cli.CSV_HEADER
     FIELDS,
@@ -33,14 +43,14 @@ from fedasync.metrics import (
     write_metrics_csv,
     write_metrics_jsonl,
 )
-from fedasync.server import STRATEGIES, ServerConfig
+from fedasync.rules import FINITE_POSITIVE, at_least, one_of, optional, rule_of, validate
+from fedasync.server import ServerConfig
 from fedasync.simulator import (
-    DELAY_KINDS,
     DelayModel,
     ExperimentConfig,
     RunFailure,
     RunResult,
-    TASKS,
+    generate_dataset,
     run_fedasync_latency,
     run_fedasync_sampled,
 )
@@ -48,44 +58,6 @@ from fedasync.transport import TransportServer, worker_loop
 from fedasync.worker import DivergenceError, WorkerConfig
 
 ALGORITHMS = ("fedasync-sampled", "fedasync-latency", "fedasync-net", "fedavg", "sgd")
-
-# One row per configuration key: (kind, default). Kind drives parsing;
-# "auto" defaults are resolved after the whole map is known.
-KEYS: dict[str, tuple[str, object]] = {
-    "algorithm": ("algorithm", None),
-    "task": ("choice:" + ",".join(TASKS), "quadratic"),
-    "n_workers": ("int", 10),
-    "total_epochs": ("int", 200),
-    "seed": ("int", 0),
-    "repeats": ("int", 10),
-    "eval_every": ("int", 1),
-    "n_samples": ("int", 1000),
-    "dim": ("int", 10),
-    "n_classes": ("int", 2),
-    "sep": ("float", 3.0),
-    "noise_std": ("float", 0.1),
-    "hidden": ("int", 16),
-    "eval_frac": ("float", 0.2),
-    "classes_per_device": ("int", 0),
-    "alpha": ("float", 0.6),
-    "strategy": ("choice:" + ",".join(STRATEGIES), "constant"),
-    "poly_a": ("float", 0.5),
-    "hinge_a": ("float", 10.0),
-    "hinge_b": ("int", 4),
-    "max_staleness": ("int", 4),
-    "gamma": ("float", 0.1),
-    "rho": ("float", 0.005),
-    "h_min": ("int", 5),
-    "h_max": ("int", 15),
-    "batch_size": ("batch", "auto"),
-    "k": ("int", 10),
-    "local_steps": ("auto_int", "auto"),
-    "delay_kind": ("choice:" + ",".join(DELAY_KINDS), "exponential"),
-    "compute_means": ("floats", [1.0]),
-    "network_mean": ("float", 0.1),
-    "threshold_frac": ("float", 0.1),
-    "jsonl": ("bool", False),
-}
 
 
 class ConfigError(Exception):
@@ -102,55 +74,100 @@ class ConfigError(Exception):
 class RunSpec:
     """A fully validated experiment request."""
 
-    algorithm: str | None
+    algorithm: str | None = field(metadata=optional(one_of(ALGORITHMS)))
     cfg: ExperimentConfig
-    repeats: int
+    repeats: int = field(metadata=at_least(1))
     favg: FedAvgConfig
-    threshold_frac: float
+    threshold_frac: float = field(metadata=FINITE_POSITIVE)
     jsonl: bool
     resolved: dict[str, str]  # provenance header: every key, final value
 
+    def __post_init__(self):
+        validate(self)
 
-def _parse_raw(key: str, raw: str, problems: list[str]):
-    kind = KEYS[key][0]
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind == "batch":
-            if raw in ("full", "auto"):
-                return raw
-            return int(raw)
-        if kind == "auto_int":
-            return "auto" if raw == "auto" else int(raw)
-        if kind == "floats":
-            return [float(tok) for tok in raw.split(",") if tok]
-        if kind == "algorithm":
-            if raw not in ALGORITHMS:
-                problems.append(
-                    f"algorithm must be one of {', '.join(ALGORITHMS)}; got {raw!r}"
-                )
-                return None
-            return raw
-        if kind.startswith("choice:"):
-            choices = kind.split(":", 1)[1].split(",")
-            if raw not in choices:
-                problems.append(
-                    f"{key} must be one of {', '.join(choices)}; got {raw!r}"
-                )
-                return None
-            return raw
-    except (TypeError, ValueError):
-        problems.append(f"{key}: cannot parse {raw!r} as {kind.split(':')[0]}")
-        return None
-    raise AssertionError(f"unhandled kind {kind}")
+
+@dataclass(frozen=True)
+class Key:
+    """One configuration key.
+
+    ``owner`` is the dataclass whose field the key sets (the field named
+    ``attr``, else the key itself), and the rule on that field is the
+    key's bound. ``default`` is the command-line value when the key is
+    unset; it may differ from the field's default. ``parse`` reads the
+    key's text. The key applies only where key ``by`` has one of the
+    values in ``applies`` (everywhere when ``by`` is empty). In the
+    header, None prints as ``blank``.
+    """
+
+    owner: type
+    default: object
+    parse: Callable[[str], object] = str
+    by: str = ""
+    applies: tuple[str, ...] = ()
+    attr: str = ""
+    blank: str = ""
+
+
+def _flag(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _floats(raw: str) -> list[float]:
+    return [float(tok) for tok in raw.split(",") if tok]
+
+
+def _batch(raw: str) -> int | str | None:
+    """``full`` is None (the whole shard); ``auto`` is the task's default."""
+    return raw if raw == "auto" else None if raw == "full" else int(raw)
+
+
+def _steps(raw: str) -> int | None:
+    return None if raw == "auto" else int(raw)
+
+
+ASYNC = ("fedasync-sampled", "fedasync-latency", "fedasync-net")
+LATENCY = ("fedasync-latency",)
+CLASSIFY = ("logistic", "mlp")
+
+KEYS: dict[str, Key] = {
+    "algorithm": Key(RunSpec, None),
+    "task": Key(ExperimentConfig, "quadratic"),
+    "n_workers": Key(ExperimentConfig, 10, int),
+    "total_epochs": Key(ExperimentConfig, 200, int),
+    "seed": Key(ExperimentConfig, 0, int),
+    "repeats": Key(RunSpec, 10, int),
+    "eval_every": Key(ExperimentConfig, 1, int),
+    "n_samples": Key(ExperimentConfig, 1000, int),
+    "dim": Key(ExperimentConfig, 10, int),
+    "n_classes": Key(ExperimentConfig, 2, int, "task", CLASSIFY),
+    "sep": Key(ExperimentConfig, 3.0, float, "task", CLASSIFY),
+    "noise_std": Key(ExperimentConfig, 0.1, float, "task", ("quadratic",)),
+    "hidden": Key(ExperimentConfig, 16, int, "task", ("mlp",)),
+    "eval_frac": Key(ExperimentConfig, 0.2, float),
+    "classes_per_device": Key(ExperimentConfig, 0, int),
+    "alpha": Key(ServerConfig, 0.6, float),
+    "strategy": Key(ServerConfig, "constant"),
+    "poly_a": Key(ServerConfig, 0.5, float, "strategy", ("polynomial",)),
+    "hinge_a": Key(ServerConfig, 10.0, float, "strategy", ("hinge",)),
+    "hinge_b": Key(ServerConfig, 4, int, "strategy", ("hinge",)),
+    "max_staleness": Key(ServerConfig, 4, int, "algorithm", ASYNC),
+    "gamma": Key(WorkerConfig, 0.1, float),
+    "rho": Key(WorkerConfig, 0.005, float),
+    "h_min": Key(WorkerConfig, 5, int),
+    "h_max": Key(WorkerConfig, 15, int),
+    "batch_size": Key(WorkerConfig, "auto", _batch, blank="full"),
+    "k": Key(FedAvgConfig, 10, int, "algorithm", ("fedavg",)),
+    "local_steps": Key(FedAvgConfig, None, _steps, "algorithm", ("fedavg",), blank="auto"),
+    "delay_kind": Key(DelayModel, "exponential", str, "algorithm", LATENCY, attr="kind"),
+    "compute_means": Key(DelayModel, [1.0], _floats, "algorithm", LATENCY),
+    "network_mean": Key(DelayModel, 0.1, float, "algorithm", LATENCY),
+    "threshold_frac": Key(RunSpec, 0.1, float),
+    "jsonl": Key(RunSpec, False, _flag),
+}
 
 
 def _read_config_file(path: str, problems: list[str]) -> dict[str, str]:
@@ -171,84 +188,43 @@ def _read_config_file(path: str, problems: list[str]) -> dict[str, str]:
     return out
 
 
-def _range_checks(v: dict, explicit: set[str], problems: list[str]) -> None:
-    def bad(key, msg):
-        problems.append(f"{key}: {msg} (got {v[key]!r})")
-
-    if v["alpha"] is not None and not 0.0 < v["alpha"] <= 1.0:
-        bad("alpha", "must be in (0, 1]")
-    for key in ("gamma", "rho", "noise_std", "network_mean"):
-        if v[key] is not None and v[key] < 0:
-            bad(key, "must be >= 0")
-    for key in ("sep", "poly_a", "hinge_a", "threshold_frac"):
-        if v[key] is not None and v[key] <= 0:
-            bad(key, "must be > 0")
-    for key in (
-        "n_workers",
-        "total_epochs",
-        "repeats",
-        "eval_every",
-        "n_samples",
-        "dim",
-        "hidden",
-        "k",
-    ):
-        if v[key] is not None and v[key] < 1:
-            bad(key, "must be >= 1")
-    for key in ("hinge_b", "max_staleness", "classes_per_device"):
-        if v[key] is not None and v[key] < 0:
-            bad(key, "must be >= 0")
-    if v["n_classes"] is not None and v["n_classes"] < 2:
-        bad("n_classes", "must be >= 2")
-    if v["eval_frac"] is not None and not 0.0 < v["eval_frac"] < 1.0:
-        bad("eval_frac", "must be in (0, 1)")
-    if v["h_min"] is not None and v["h_max"] is not None and not 1 <= v["h_min"] <= v["h_max"]:
-        problems.append(f"h_min/h_max: need 1 <= h_min <= h_max (got {v['h_min']}, {v['h_max']})")
-    if isinstance(v["batch_size"], int) and v["batch_size"] < 1:
-        bad("batch_size", "must be >= 1, 'full', or 'auto'")
-    if isinstance(v["local_steps"], int) and v["local_steps"] < 1:
-        bad("local_steps", "must be >= 1 or 'auto'")
-    if v["compute_means"] is not None:
-        if not v["compute_means"]:
-            bad("compute_means", "needs at least one value")
-        elif any(m < 0 for m in v["compute_means"]):
-            bad("compute_means", "all values must be >= 0")
-
-
 def _consistency_checks(v: dict, explicit: set[str], problems: list[str]) -> None:
-    algo = v.get("algorithm")
-    strategy = v["strategy"]
-    if strategy != "polynomial" and "poly_a" in explicit:
-        problems.append(f"poly_a is only meaningful with strategy=polynomial (strategy={strategy})")
-    if strategy != "hinge" and ("hinge_a" in explicit or "hinge_b" in explicit):
-        problems.append(f"hinge_a/hinge_b are only meaningful with strategy=hinge (strategy={strategy})")
-    if strategy == "hinge" and "hinge_b" not in explicit:
+    """Keys set where they do not apply, and the conditions that span
+    keys, so that no configuration that passes fails later on."""
+    for key, row in KEYS.items():
+        if key in explicit and row.by and v[row.by] is not None and v[row.by] not in row.applies:
+            only = "/".join(row.applies)
+            problems.append(f"{key} only applies to {row.by}={only} ({row.by}={v[row.by]})")
+    if v["strategy"] == "hinge" and "hinge_b" not in explicit:
         problems.append("strategy=hinge requires an explicit hinge_b")
-    task = v["task"]
-    if task == "quadratic":
-        for key in ("sep", "n_classes", "hidden"):
-            if key in explicit:
-                problems.append(f"{key} does not apply to the quadratic task")
-    else:
-        if "noise_std" in explicit:
-            problems.append(f"noise_std does not apply to the {task} task")
-        if task == "logistic" and "hidden" in explicit:
-            problems.append("hidden does not apply to the logistic task")
-        if task == "logistic" and "n_classes" in explicit and v["n_classes"] != 2:
-            problems.append(f"task=logistic is binary; n_classes must be 2 (got {v['n_classes']})")
-    if algo is not None:
-        if algo != "fedavg":
-            for key in ("k", "local_steps"):
-                if key in explicit:
-                    problems.append(f"{key} only applies to algorithm=fedavg (algorithm={algo})")
-        if algo != "fedasync-latency":
-            for key in ("delay_kind", "compute_means", "network_mean"):
-                if key in explicit:
-                    problems.append(
-                        f"{key} only applies to algorithm=fedasync-latency (algorithm={algo})"
-                    )
-        if algo in ("fedavg", "sgd") and "max_staleness" in explicit:
-            problems.append(f"max_staleness does not apply to algorithm={algo}")
+    task, n, dim, n_classes = v["task"], v["n_samples"], v["dim"], v["n_classes"]
+    classify, cpd = task in CLASSIFY, v["classes_per_device"]
+    if classify and n_classes > dim:
+        problems.append(f"n_classes: task={task} needs n_classes <= dim (got {n_classes} > {dim})")
+    if classify and cpd > n_classes:
+        problems.append(f"classes_per_device: must be <= n_classes (got {cpd} > {n_classes})")
+    if not classify and n < dim:
+        problems.append(f"n_samples: task={task} needs n_samples >= dim (got {n} < {dim})")
+    if v["algorithm"] == "fedavg" and v["k"] > v["n_workers"]:
+        problems.append(f"k: must be <= n_workers (got {v['k']} > {v['n_workers']})")
+    n_train = n - eval_rows(n, v["eval_frac"])
+    skewed = cpd > 0 and not (classify and cpd == n_classes)
+    blocks = v["n_workers"] * (cpd if skewed else 1)
+    if n_train < 1:
+        problems.append(f"eval_frac: leaves none of the {n} samples for training")
+    elif blocks > n_train:
+        problems.append(f"n_workers: sharding needs {blocks} training rows, there are {n_train}")
+
+
+def _show(value, blank: str) -> str:
+    """A value as the ``# key=value`` header prints it."""
+    if value is None:
+        return blank
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(map(repr, value))
+    return str(value)
 
 
 def parse_config(
@@ -260,7 +236,7 @@ def parse_config(
 
     Every problem found (unknown key, bad value, out-of-range value,
     inconsistent combination) is collected and reported in one
-    :class:`ConfigError`.
+    :class:`ConfigError`. No data is generated here.
     """
     problems: list[str] = []
     raw: dict[str, str] = {}
@@ -273,103 +249,47 @@ def parse_config(
             continue
         raw[key.strip()] = value.strip()
 
-    values = {key: spec[1] for key, spec in KEYS.items()}
+    values = {key: row.default for key, row in KEYS.items()}
     explicit = set()
-    for key, rawval in raw.items():
+    for key, text in raw.items():
         if key not in KEYS:
             problems.append(f"unknown key {key!r}")
             continue
         explicit.add(key)
-        parsed = _parse_raw(key, rawval, problems)
-        if parsed is not None:
-            values[key] = parsed
+        try:
+            values[key] = KEYS[key].parse(text)
+        except ValueError:
+            problems.append(f"{key}: cannot parse {text!r}")
+    if values["batch_size"] == "auto":
+        values["batch_size"] = 20 if values["task"] == "quadratic" else 50
 
-    if require_algorithm and values["algorithm"] is None and "algorithm" not in explicit:
+    if require_algorithm and values["algorithm"] is None:
         problems.append("algorithm is required (one of " + ", ".join(ALGORITHMS) + ")")
-
-    _range_checks(values, explicit, problems)
+    for key, row in KEYS.items():
+        rule = rule_of(row.owner, row.attr or key)
+        if rule is not None and not rule.holds(values[key]):
+            problems.append(f"{key}: {rule.text} (got {values[key]!r})")
     if not problems:
         _consistency_checks(values, explicit, problems)
     if problems:
         raise ConfigError(problems)
 
-    # auto defaults that depend on other keys
-    batch = values["batch_size"]
-    if batch == "auto":
-        batch = 20 if values["task"] == "quadratic" else 50
-    elif batch == "full":
-        batch = None
-    local_steps = values["local_steps"]
-    if local_steps == "auto":
-        local_steps = None
-
-    algo = values["algorithm"]
-    mode = "latency" if algo == "fedasync-latency" else "sampled"
-    compute_means = values["compute_means"]
+    args: dict[type, dict[str, object]] = defaultdict(dict)
+    for key, row in KEYS.items():
+        args[row.owner][row.attr or key] = values[key]
+    resolved = {key: _show(values[key], row.blank) for key, row in KEYS.items()}
     try:
-        cfg = _build_experiment(values, mode, batch, compute_means)
-    except ValueError as exc:
+        cfg = ExperimentConfig(
+            **args[ExperimentConfig],
+            server=ServerConfig(**args[ServerConfig]),
+            worker=WorkerConfig(**args[WorkerConfig]),
+            delay=DelayModel(**args[DelayModel]),
+            mode="latency" if values["algorithm"] == "fedasync-latency" else "sampled",
+        )
+        favg = FedAvgConfig(**args[FedAvgConfig])
+    except ValueError as exc:  # a condition across fields, such as h_min <= h_max
         raise ConfigError([str(exc)]) from exc
-    resolved = {}
-    for key in KEYS:
-        val = values[key]
-        if key == "batch_size":
-            val = "full" if batch is None else batch
-        elif key == "local_steps":
-            val = "auto" if local_steps is None else local_steps
-        elif key == "compute_means":
-            val = ",".join(repr(float(m)) for m in compute_means)
-        elif key == "jsonl":
-            val = "true" if val else "false"
-        resolved[key] = "" if val is None else str(val)
-    return RunSpec(
-        algorithm=algo,
-        cfg=cfg,
-        repeats=values["repeats"],
-        favg=FedAvgConfig(k=values["k"], local_steps=local_steps),
-        threshold_frac=values["threshold_frac"],
-        jsonl=values["jsonl"],
-        resolved=resolved,
-    )
-
-
-def _build_experiment(values, mode, batch, compute_means) -> ExperimentConfig:
-    return ExperimentConfig(
-        task=values["task"],
-        n_workers=values["n_workers"],
-        total_epochs=values["total_epochs"],
-        server=ServerConfig(
-            alpha=values["alpha"],
-            strategy=values["strategy"],
-            poly_a=values["poly_a"],
-            hinge_a=values["hinge_a"],
-            hinge_b=values["hinge_b"],
-            max_staleness=values["max_staleness"],
-        ),
-        worker=WorkerConfig(
-            gamma=values["gamma"],
-            rho=values["rho"],
-            h_min=values["h_min"],
-            h_max=values["h_max"],
-            batch_size=batch,
-        ),
-        mode=mode,
-        n_samples=values["n_samples"],
-        dim=values["dim"],
-        n_classes=values["n_classes"],
-        sep=values["sep"],
-        noise_std=values["noise_std"],
-        hidden=values["hidden"],
-        eval_frac=values["eval_frac"],
-        classes_per_device=values["classes_per_device"],
-        seed=values["seed"],
-        eval_every=values["eval_every"],
-        delay=DelayModel(
-            compute_means=compute_means[0] if len(compute_means) == 1 else compute_means,
-            network_mean=values["network_mean"],
-            kind=values["delay_kind"],
-        ),
-    )
+    return RunSpec(**args[RunSpec], cfg=cfg, favg=favg, resolved=resolved)
 
 
 def _run_net(cfg: ExperimentConfig) -> RunResult:
@@ -624,16 +544,10 @@ def cmd_worker(args) -> int:
 
 def cmd_gen_data(args) -> int:
     spec = parse_config(args.config, args.overrides, require_algorithm=False)
-    cfg = spec.cfg
     if os.path.exists(args.out):
         print(f"refusing to overwrite existing file {args.out!r}", file=sys.stderr)
         return 2
-    if cfg.task == "quadratic":
-        ds = gen_regression(cfg.n_samples, cfg.dim, cfg.noise_std, cfg.seed)
-    elif cfg.task == "logistic":
-        ds = gen_classification(cfg.n_samples, cfg.dim, 2, cfg.sep, cfg.seed)
-    else:
-        ds = gen_classification(cfg.n_samples, cfg.dim, cfg.n_classes, cfg.sep, cfg.seed)
+    ds = generate_dataset(spec.cfg)
     save_dataset(ds, args.out)
     print(f"wrote {len(ds)} samples to {args.out}")
     return 0

@@ -255,12 +255,17 @@ def sample_minibatch(
     return MiniBatch(features=shard.features[idx], targets=shard.targets[idx])
 
 
+def eval_rows(n: int, eval_frac: float) -> int:
+    """Rows of ``n`` that :func:`train_eval_split` holds out: at least one."""
+    return max(1, int(round(n * eval_frac)))
+
+
 def train_eval_split(dataset: Dataset, eval_frac: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded shuffle-and-cut into train and held-out evaluation sets."""
     if not 0.0 < eval_frac < 1.0:
         raise ValueError(f"eval_frac must be in (0, 1), got {eval_frac!r}")
     n = len(dataset)
-    n_eval = max(1, int(round(n * eval_frac)))
+    n_eval = eval_rows(n, eval_frac)
     if n_eval >= n:
         raise ValueError(f"eval_frac {eval_frac!r} leaves no training data")
     rng = domain_rng(seed, DATA_DOMAIN, 2)
@@ -285,7 +290,8 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
     Header: ``# task=<task> n_samples=<n> dim=<d> n_classes=<c>``.
     Rows: the target first, then the features, space separated. Floats
-    use shortest round-trip repr so a save/load cycle is bit-exact.
+    use shortest round-trip repr, so ``numpy.loadtxt`` reads the rows back
+    bit-exactly.
     ``true_params`` is not persisted.
     """
     with open(path, "w", encoding="ascii") as fh:
@@ -297,39 +303,3 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         for target, row in zip(dataset.targets, dataset.features):
             head = str(int(target)) if classify else repr(float(target))
             fh.write(head + " " + " ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_dataset(path: str) -> Dataset:
-    """Inverse of :func:`save_dataset`. Raises ``ValueError`` on bad input."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if not header.startswith("# "):
-            raise ValueError(f"{path}: missing header line")
-        meta = {}
-        for token in header[2:].split():
-            key, _, value = token.partition("=")
-            if not _:
-                raise ValueError(f"{path}: malformed header token {token!r}")
-            meta[key] = value
-        for key in ("task", "n_samples", "dim", "n_classes"):
-            if key not in meta:
-                raise ValueError(f"{path}: header missing {key}")
-        task = meta["task"]
-        n, d = int(meta["n_samples"]), int(meta["dim"])
-        n_classes = int(meta["n_classes"])
-        features = np.empty((n, d))
-        targets = np.empty(n, dtype=np.int64 if task == "classification" else np.float64)
-        for i in range(n):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: expected {n} rows, found {i}")
-            fields = line.split()
-            if len(fields) != d + 1:
-                raise ValueError(
-                    f"{path}: row {i} has {len(fields)} fields, expected {d + 1}"
-                )
-            targets[i] = int(fields[0]) if task == "classification" else float(fields[0])
-            features[i] = [float(v) for v in fields[1:]]
-        if fh.readline():
-            raise ValueError(f"{path}: trailing data after {n} rows")
-    return Dataset(features=features, targets=targets, task=task, n_classes=n_classes)

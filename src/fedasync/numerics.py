@@ -47,31 +47,6 @@ def mix(current: np.ndarray, incoming: np.ndarray, alpha: float) -> np.ndarray:
     return (1.0 - alpha) * current + alpha * incoming
 
 
-def reg_grad(
-    objective: "Objective",
-    params: np.ndarray,
-    anchor: np.ndarray,
-    rho: float,
-    X: np.ndarray,
-    y: np.ndarray,
-) -> np.ndarray:
-    """Gradient of the proximally regularized local objective.
-
-    Adds ``rho * (params - anchor)`` to the data gradient, pulling the
-    local iterate back toward the anchor (the global model the worker
-    started from).
-    """
-    params = _as_params(params)
-    anchor = _as_params(anchor)
-    if params.shape != anchor.shape:
-        raise ValueError(
-            f"dimension mismatch: {params.shape[0]} vs {anchor.shape[0]}"
-        )
-    if not np.isfinite(rho) or rho < 0.0:
-        raise ValueError(f"rho must be a finite nonnegative float, got {rho!r}")
-    return objective.grad(params, X, y) + rho * (params - anchor)
-
-
 def finite_diff_grad(
     objective: "Objective",
     params: np.ndarray,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fedasync.numerics import mix
+from fedasync.rules import FINITE_POSITIVE, at_least, bound, one_of, validate
 from fedasync.worker import LocalUpdate
 
 STRATEGIES = ("constant", "polynomial", "hinge")
@@ -53,28 +54,15 @@ class ServerConfig:
         caps concurrent dispatches at ``max_staleness + 1``.
     """
 
-    alpha: float
-    strategy: str = "constant"
-    poly_a: float = 0.5
-    hinge_a: float = 10.0
-    hinge_b: int = 4
-    max_staleness: int = 0
+    alpha: float = field(metadata=bound("must be in (0, 1]", lambda a: 0.0 < a <= 1.0))
+    strategy: str = field(default="constant", metadata=one_of(STRATEGIES))
+    poly_a: float = field(default=0.5, metadata=FINITE_POSITIVE)
+    hinge_a: float = field(default=10.0, metadata=FINITE_POSITIVE)
+    hinge_b: int = field(default=4, metadata=at_least(0))
+    max_staleness: int = field(default=0, metadata=at_least(0))
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha) or not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
-            )
-        if not np.isfinite(self.poly_a) or self.poly_a <= 0.0:
-            raise ValueError(f"poly_a must be finite and > 0, got {self.poly_a!r}")
-        if not np.isfinite(self.hinge_a) or self.hinge_a <= 0.0:
-            raise ValueError(f"hinge_a must be finite and > 0, got {self.hinge_a!r}")
-        if self.hinge_b < 0:
-            raise ValueError(f"hinge_b must be >= 0, got {self.hinge_b!r}")
-        if self.max_staleness < 0:
-            raise ValueError(f"max_staleness must be >= 0, got {self.max_staleness!r}")
+        validate(self)
 
 
 def decay_factor(cfg: ServerConfig, staleness: int) -> float:

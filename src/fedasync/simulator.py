@@ -48,6 +48,7 @@ from fedasync.numerics import (
     Objective,
     QuadraticObjective,
 )
+from fedasync.rules import FINITE_NONNEGATIVE, FINITE_POSITIVE, at_least, bound, one_of, validate
 from fedasync.server import (
     ServerConfig,
     ServerState,
@@ -78,6 +79,11 @@ class RunFailure(RuntimeError):
 DELAY_KINDS = ("constant", "uniform", "exponential")
 
 
+def _nonnegative_means(means) -> bool:
+    means = list(means) if isinstance(means, (list, tuple)) else [means]
+    return bool(means) and all(FINITE_NONNEGATIVE["rule"].holds(m) for m in means)
+
+
 @dataclass
 class DelayModel:
     """Per-task latency: compute component plus network component.
@@ -91,23 +97,15 @@ class DelayModel:
     nothing.
     """
 
-    compute_means: float | list[float] = 1.0
-    network_mean: float = 0.1
-    kind: str = "exponential"
+    compute_means: float | list[float] = field(
+        default=1.0,
+        metadata=bound("must be one or more values, each finite and >= 0", _nonnegative_means),
+    )
+    network_mean: float = field(default=0.1, metadata=FINITE_NONNEGATIVE)
+    kind: str = field(default="exponential", metadata=one_of(DELAY_KINDS))
 
     def __post_init__(self):
-        if self.kind not in DELAY_KINDS:
-            raise ValueError(
-                f"unknown delay kind {self.kind!r}; expected one of {DELAY_KINDS}"
-            )
-        means = (
-            list(self.compute_means)
-            if isinstance(self.compute_means, (list, tuple))
-            else [self.compute_means]
-        )
-        for m in means + [self.network_mean]:
-            if not np.isfinite(m) or m < 0.0:
-                raise ValueError(f"delay means must be finite and >= 0, got {m!r}")
+        validate(self)
 
     def compute_mean_for(self, worker_id: int) -> float:
         if isinstance(self.compute_means, (list, tuple)):
@@ -131,35 +129,26 @@ class DelayModel:
 class ExperimentConfig:
     """Everything needed to reproduce one run from a seed."""
 
-    task: str
-    n_workers: int
-    total_epochs: int
+    task: str = field(metadata=one_of(TASKS))
+    n_workers: int = field(metadata=at_least(1))
+    total_epochs: int = field(metadata=at_least(1))
     server: ServerConfig
     worker: WorkerConfig
-    mode: str = "sampled"
-    n_samples: int = 1000
-    dim: int = 10
-    n_classes: int = 2
-    sep: float = 3.0
-    noise_std: float = 0.1
-    hidden: int = 16
-    eval_frac: float = 0.2
-    classes_per_device: int = 0
-    seed: int = 0
-    eval_every: int = 1
+    mode: str = field(default="sampled", metadata=one_of(MODES))
+    n_samples: int = field(default=1000, metadata=at_least(1))
+    dim: int = field(default=10, metadata=at_least(1))
+    n_classes: int = field(default=2, metadata=at_least(2))
+    sep: float = field(default=3.0, metadata=FINITE_POSITIVE)
+    noise_std: float = field(default=0.1, metadata=FINITE_NONNEGATIVE)
+    hidden: int = field(default=16, metadata=at_least(1))
+    eval_frac: float = field(default=0.2, metadata=bound("must be in (0, 1)", lambda f: 0 < f < 1))
+    classes_per_device: int = field(default=0, metadata=at_least(0))
+    seed: int = field(default=0, metadata=at_least(0))
+    eval_every: int = field(default=1, metadata=at_least(1))
     delay: DelayModel = field(default_factory=DelayModel)
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.n_workers < 1:
-            raise ValueError(f"need n_workers >= 1, got {self.n_workers}")
-        if self.total_epochs < 1:
-            raise ValueError(f"need total_epochs >= 1, got {self.total_epochs}")
-        if self.eval_every < 1:
-            raise ValueError(f"need eval_every >= 1, got {self.eval_every}")
+        validate(self)
         if self.task == "logistic" and self.n_classes != 2:
             raise ValueError("logistic task is binary; set n_classes=2")
 
@@ -185,6 +174,14 @@ class RunResult:
     apply_log: list[tuple[int, int]] | None = None
 
 
+def generate_dataset(cfg: ExperimentConfig) -> Dataset:
+    """The task's full synthetic dataset, before the evaluation split
+    (``n_classes`` is 2 for the logistic task)."""
+    if cfg.task == "quadratic":
+        return gen_regression(cfg.n_samples, cfg.dim, cfg.noise_std, cfg.seed)
+    return gen_classification(cfg.n_samples, cfg.dim, cfg.n_classes, cfg.sep, cfg.seed)
+
+
 def build_problem(cfg: ExperimentConfig) -> Problem:
     """Generate data, split it, shard it, and pick the start point.
 
@@ -194,16 +191,12 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     for the convex tasks, small seeded Gaussian weights for the network
     (zeros would freeze all hidden units into one).
     """
+    full = generate_dataset(cfg)
     if cfg.task == "quadratic":
-        full = gen_regression(cfg.n_samples, cfg.dim, cfg.noise_std, cfg.seed)
         objective: Objective = QuadraticObjective(cfg.dim)
     elif cfg.task == "logistic":
-        full = gen_classification(cfg.n_samples, cfg.dim, 2, cfg.sep, cfg.seed)
         objective = LogisticObjective(cfg.dim)
     else:
-        full = gen_classification(
-            cfg.n_samples, cfg.dim, cfg.n_classes, cfg.sep, cfg.seed
-        )
         objective = MlpObjective(cfg.dim, cfg.hidden, cfg.n_classes)
     train, eval_set = train_eval_split(full, cfg.eval_frac, cfg.seed)
     cpd = cfg.classes_per_device

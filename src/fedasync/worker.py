@@ -8,12 +8,13 @@ function drives the in-process simulators and the TCP worker process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from fedasync.data import Shard, sample_minibatch
 from fedasync.numerics import Objective
+from fedasync.rules import FINITE_NONNEGATIVE, at_least, optional, validate
 
 
 class DivergenceError(RuntimeError):
@@ -44,30 +45,16 @@ class WorkerConfig:
         the sampling stream.
     """
 
-    gamma: float
-    rho: float = 0.0
-    h_min: int = 1
+    gamma: float = field(metadata=FINITE_NONNEGATIVE)
+    rho: float = field(default=0.0, metadata=FINITE_NONNEGATIVE)
+    h_min: int = field(default=1, metadata=at_least(1))
     h_max: int = 1
-    batch_size: int | None = None
+    batch_size: int | None = field(default=None, metadata=optional(at_least(1)))
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma < 0.0:
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if not np.isfinite(self.rho) or self.rho < 0.0:
-            raise ValueError(f"rho must be finite and >= 0, got {self.rho!r}")
-        if not 1 <= self.h_min <= self.h_max:
-            raise ValueError(
-                f"need 1 <= h_min <= h_max, got ({self.h_min}, {self.h_max})"
-            )
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be None or >= 1, got {self.batch_size}"
-            )
-
-    @property
-    def step_imbalance(self) -> float:
-        """Ratio of the largest to smallest possible local step count."""
-        return self.h_max / self.h_min
+        validate(self)
+        if self.h_min > self.h_max:
+            raise ValueError(f"need h_min <= h_max, got ({self.h_min}, {self.h_max})")
 
 
 @dataclass
@@ -86,11 +73,6 @@ class LocalUpdate:
 
     def __post_init__(self):
         self.params.setflags(write=False)
-
-    @property
-    def gradients_computed(self) -> int:
-        """One gradient per local step; the cost bookkeeping source."""
-        return self.local_iters
 
 
 def choose_steps(cfg: WorkerConfig, rng: np.random.Generator) -> int:

@@ -1,15 +1,22 @@
 """End-to-end tests for the experiment command line."""
 
+import re
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedasync.cli import ConfigError, gradients_to_threshold, main, parse_config
-from fedasync.data import gen_classification, load_dataset
+from fedasync.baselines import FedAvgConfig
+from fedasync.cli import KEYS, ConfigError, RunSpec, gradients_to_threshold, main, parse_config
+from fedasync.data import gen_classification
 from fedasync.metrics import load_metrics_csv, load_params
-from fedasync.simulator import run_fedasync_sampled
+from fedasync.rules import rule_of
+from fedasync.server import ServerConfig
+from fedasync.simulator import DelayModel, ExperimentConfig, run_fedasync_sampled
+from fedasync.worker import WorkerConfig
 
 SMALL = [
     "task=quadratic",
@@ -127,6 +134,85 @@ class TestParseConfig:
         path.write_text("algorithm=sgd\ngamma 0.2\n")
         with pytest.raises(ConfigError, match="key=value"):
             parse_config(str(path), [])
+
+
+# Configurations that once passed parse_config and then failed after
+# --out was made: (command, overrides, keys the error must name).
+LATE_ERRORS = [
+    ("run", ["task=logistic", "sep=inf"], ["sep"]),
+    ("run", ["noise_std=inf"], ["noise_std"]),
+    ("run", ["task=mlp", "n_classes=12", "dim=10"], ["n_classes"]),
+    ("run", ["algorithm=fedavg", "k=20", "n_workers=10"], ["k"]),
+    ("run", ["n_workers=5000"], ["n_workers"]),
+    ("run", ["n_workers=200", "classes_per_device=5"], ["n_workers"]),
+    ("run", ["eval_frac=0.9999"], ["eval_frac"]),
+    ("run", ["task=logistic", "classes_per_device=3"], ["classes_per_device"]),
+    ("run", ["n_samples=5", "dim=10"], ["n_samples"]),
+    ("run", ["seed=-1"], ["seed"]),
+    ("run", ["gamma=nan", "alpha=2"], ["alpha", "gamma"]),
+    ("gen-data", ["task=mlp", "n_classes=12"], ["n_classes"]),
+]
+
+
+def _out_of_range():
+    """``(key, text)`` for every key whose field has a rule, and every
+    text among -1, nan and inf that parses as the key's type."""
+    for key, row in KEYS.items():
+        if rule_of(row.owner, row.attr or key) is None:
+            continue
+        for text in ("-1", "nan", "inf"):
+            try:
+                row.parse(text)
+            except ValueError:
+                continue
+            yield key, text
+
+
+class TestKeySchema:
+    @pytest.mark.parametrize("key, text", list(_out_of_range()))
+    def test_rule_guards_key_and_field(self, key, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config(None, ["algorithm=sgd", f"{key}={text}"])
+        [problem] = err.value.problems
+        assert problem.startswith(f"{key}: ")
+        spec = parse_config(None, ["algorithm=sgd"])
+        owned = {
+            RunSpec: spec,
+            ExperimentConfig: spec.cfg,
+            ServerConfig: spec.cfg.server,
+            WorkerConfig: spec.cfg.worker,
+            DelayModel: spec.cfg.delay,
+            FedAvgConfig: spec.favg,
+        }
+        row = KEYS[key]
+        name = row.attr or key
+        with pytest.raises(ValueError, match=f"^{name} "):
+            replace(owned[row.owner], **{name: row.parse(text)})
+
+    @pytest.mark.parametrize(
+        "command, overrides, keys",
+        LATE_ERRORS,
+        ids=[f"{command} {' '.join(overrides)}" for command, overrides, _ in LATE_ERRORS],
+    )
+    def test_error_before_any_output(self, tmp_path, capsys, command, overrides, keys):
+        out = tmp_path / "out"
+        if command == "run" and not overrides[0].startswith("algorithm="):
+            overrides = ["algorithm=sgd", *overrides]
+        assert main([command, *overrides, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        for key in keys:
+            assert f"  - {key}: " in err
+        assert not out.exists()
+
+    def test_readme_table_names_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+        named = set()
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                named.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        assert named == set(KEYS)
 
 
 class TestCmdRun:
@@ -322,10 +408,10 @@ class TestGenData:
         )
         assert rc == 0
         assert "wrote 60 samples" in capsys.readouterr().out
-        ds = load_dataset(out)
+        rows = np.loadtxt(out, ndmin=2)
         ref = gen_classification(60, 4, 2, 3.0, 0)
-        np.testing.assert_array_equal(ds.features, ref.features)
-        np.testing.assert_array_equal(ds.targets, ref.targets)
+        np.testing.assert_array_equal(rows[:, 1:], ref.features)
+        np.testing.assert_array_equal(rows[:, 0], ref.targets)
 
     def test_refuses_existing_file(self, tmp_path, capsys):
         out = tmp_path / "data.txt"

@@ -1,5 +1,5 @@
-"""Unit tests for the numeric kernel: mixing, regularized gradients,
-finite differences, and the three objective families."""
+"""Unit tests for the numeric kernel: mixing, finite differences, and
+the three objective families."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from fedasync.numerics import (
     QuadraticObjective,
     finite_diff_grad,
     mix,
-    reg_grad,
 )
 
 # one float64 ulp of relative slack for algebraic identities evaluated
@@ -65,48 +64,6 @@ class TestMix:
     def test_alpha_out_of_range_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             mix(np.zeros(2), np.zeros(2), alpha)
-
-
-class TestRegGrad:
-    def test_rho_zero_is_plain_gradient(self):
-        obj = QuadraticObjective(3)
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((20, 3))
-        y = rng.standard_normal(20)
-        x = rng.standard_normal(3)
-        anchor = rng.standard_normal(3)
-        np.testing.assert_array_equal(
-            reg_grad(obj, x, anchor, 0.0, X, y), obj.grad(x, X, y)
-        )
-
-    def test_at_anchor_is_plain_gradient(self):
-        obj = QuadraticObjective(3)
-        rng = np.random.default_rng(12)
-        X = rng.standard_normal((20, 3))
-        y = rng.standard_normal(20)
-        x = rng.standard_normal(3)
-        np.testing.assert_array_equal(
-            reg_grad(obj, x, x, 5.0, X, y), obj.grad(x, X, y)
-        )
-
-    def test_one_dimensional_hand_value(self):
-        # single sample (a=1, b=1): data grad at x=2 is 1*(2-1) = 1;
-        # pull term 2*(2-0.5) = 3; total 4
-        obj = QuadraticObjective(1)
-        X = np.array([[1.0]])
-        y = np.array([1.0])
-        out = reg_grad(obj, np.array([2.0]), np.array([0.5]), 2.0, X, y)
-        np.testing.assert_allclose(out, [4.0], rtol=1e-15)
-
-    def test_negative_rho_rejected(self):
-        obj = QuadraticObjective(1)
-        with pytest.raises(ValueError, match="rho"):
-            reg_grad(obj, np.zeros(1), np.zeros(1), -1.0, np.ones((1, 1)), np.ones(1))
-
-    def test_dimension_mismatch_rejected(self):
-        obj = QuadraticObjective(2)
-        with pytest.raises(ValueError, match="mismatch"):
-            reg_grad(obj, np.zeros(2), np.zeros(3), 1.0, np.ones((1, 2)), np.ones(1))
 
 
 class TestFiniteDiff:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedasync.data import (
+    Shard,
     gen_classification,
     gen_regression,
     partition_non_iid,
@@ -67,10 +68,6 @@ class TestWorkerConfig:
         assert cfg.rho == 0.0
         assert (cfg.h_min, cfg.h_max) == (1, 1)
         assert cfg.batch_size is None
-
-    def test_step_imbalance(self):
-        assert WorkerConfig(gamma=0.1, h_min=5, h_max=15).step_imbalance == 3.0
-        assert WorkerConfig(gamma=0.1, h_min=7, h_max=7).step_imbalance == 1.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -220,6 +217,49 @@ class TestLocalTrain:
             local_train(obj, empty, np.zeros(2), tau=0, cfg=cfg, rng=np.random.default_rng(0))
 
 
+class TestProximalStep:
+    """The pull term ``rho * (x - anchor)`` of each local step, on the
+    whole shard (``batch_size`` None, so no draw from the stream)."""
+
+    @staticmethod
+    def _whole(X, y):
+        return Shard(device_id=0, features=X, targets=y, indices=np.arange(len(y)))
+
+    def test_rho_zero_is_plain_gradient(self):
+        obj = QuadraticObjective(3)
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((20, 3))
+        y = rng.standard_normal(20)
+        anchor = rng.standard_normal(3)
+        cfg = WorkerConfig(gamma=0.1, rho=0.0, h_min=3, h_max=3)
+        upd = local_train(obj, self._whole(X, y), anchor, 0, cfg, rng)
+        x = anchor.copy()
+        for _ in range(3):
+            x = x - 0.1 * obj.grad(x, X, y)
+        np.testing.assert_array_equal(upd.params, x)
+
+    def test_at_anchor_is_plain_gradient(self):
+        # the first step starts at the anchor, where the pull term is 0
+        obj = QuadraticObjective(3)
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((20, 3))
+        y = rng.standard_normal(20)
+        anchor = rng.standard_normal(3)
+        cfg = WorkerConfig(gamma=0.1, rho=5.0)
+        upd = local_train(obj, self._whole(X, y), anchor, 0, cfg, rng)
+        np.testing.assert_array_equal(upd.params, anchor - 0.1 * obj.grad(anchor, X, y))
+
+    def test_one_dimensional_hand_value(self):
+        # one sample (a=1, b=1), gamma=1, rho=2, anchor 0.5. Step 1: data
+        # grad 0.5 - 1 = -0.5, pull 0, so x = 1. Step 2: data grad 0, pull
+        # 2 * (1 - 0.5) = 1, so x = 0.
+        obj = QuadraticObjective(1)
+        shard = self._whole(np.array([[1.0]]), np.array([1.0]))
+        cfg = WorkerConfig(gamma=1.0, rho=2.0, h_min=2, h_max=2)
+        upd = local_train(obj, shard, np.array([0.5]), 0, cfg, np.random.default_rng(0))
+        np.testing.assert_array_equal(upd.params, [0.0])
+
+
 class TestFusedTask:
     """``local_train`` draws a task's batches at once and checks
     finiteness once; both must be invisible against the per-step recursion."""
@@ -313,10 +353,6 @@ class TestLocalUpdate:
         upd = LocalUpdate(params=np.zeros(3), tau=0, worker_id=1, local_iters=2)
         with pytest.raises(ValueError):
             upd.params[0] = 1.0
-
-    def test_gradients_computed_equals_local_iters(self):
-        upd = LocalUpdate(params=np.zeros(3), tau=0, worker_id=1, local_iters=7)
-        assert upd.gradients_computed == 7
 
     def test_worker_stream_reproducibility(self):
         shard = _shard(seed=6)
