@@ -284,7 +284,6 @@ def parse_config(
             server=ServerConfig(**args[ServerConfig]),
             worker=WorkerConfig(**args[WorkerConfig]),
             delay=DelayModel(**args[DelayModel]),
-            mode="latency" if values["algorithm"] == "fedasync-latency" else "sampled",
         )
         favg = FedAvgConfig(**args[FedAvgConfig])
     except ValueError as exc:  # a condition across fields, such as h_min <= h_max
@@ -500,8 +499,17 @@ def _parse_hostport(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def cmd_serve(args) -> int:
+def _net_spec(args) -> RunSpec:
+    """``serve`` and ``worker`` run fedasync-net, so their keys are checked
+    as its keys; any other ``algorithm`` is refused."""
     spec = parse_config(args.config, args.overrides, require_algorithm=False)
+    if spec.algorithm not in (None, "fedasync-net"):
+        raise ConfigError([f"algorithm: {args.command} runs fedasync-net (got {spec.algorithm!r})"])
+    return parse_config(args.config, [*args.overrides, "algorithm=fedasync-net"])
+
+
+def cmd_serve(args) -> int:
+    spec = _net_spec(args)
     try:
         host, port = _parse_hostport(args.bind)
     except ValueError as exc:
@@ -531,7 +539,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    spec = parse_config(args.config, args.overrides, require_algorithm=False)
+    spec = _net_spec(args)
     try:
         host, port = _parse_hostport(args.connect)
     except ValueError as exc:

@@ -52,9 +52,6 @@ class MetricsRecord:
             cell(self.sim_time),
         ]
 
-    def csv_row(self) -> str:
-        return ",".join(self.cells())
-
     def json_obj(self) -> dict:
         return {
             "epoch": self.epoch,
@@ -158,19 +155,3 @@ def load_params(path: str) -> np.ndarray:
         values = [float(line) for line in fh if line.strip()]
     return np.array(values, dtype=np.float64)
 
-
-def load_metrics_csv(path: str) -> list[MetricsRecord]:
-    """Read back a file produced by :func:`write_metrics_csv`."""
-    return [
-        MetricsRecord(
-            epoch=int(row[0]),
-            gradients=int(row[1]),
-            loss=float(row[2]),
-            grad_norm_sq=float(row[3]),
-            accuracy=None if row[4] == "" else float(row[4]),
-            alpha_t=float(row[5]),
-            staleness=int(row[6]),
-            sim_time=float(row[7]),
-        )
-        for row in read_csv(path)[1]
-    ]

@@ -59,7 +59,6 @@ from fedasync.server import (
 from fedasync.worker import DivergenceError, WorkerConfig, local_train
 
 TASKS = ("quadratic", "logistic", "mlp")
-MODES = ("sampled", "latency")
 
 
 class RunFailure(RuntimeError):
@@ -134,7 +133,6 @@ class ExperimentConfig:
     total_epochs: int = field(metadata=at_least(1))
     server: ServerConfig
     worker: WorkerConfig
-    mode: str = field(default="sampled", metadata=one_of(MODES))
     n_samples: int = field(default=1000, metadata=at_least(1))
     dim: int = field(default=10, metadata=at_least(1))
     n_classes: int = field(default=2, metadata=at_least(2))

@@ -1,10 +1,12 @@
 """TCP wire protocol and process-level server/worker loops.
 
 Frame layout: a 4-byte big-endian length covering everything after the
-length field, a 1-byte tag, then the payload. Integers are 8-byte
-big-endian, booleans one byte, parameter vectors an 8-byte big-endian
-element count followed by the elements as little-endian IEEE-754
-doubles. This layout is normative: tests pin exact byte sequences.
+length field, a 1-byte tag, then the message's fields in order. Integers
+are 8-byte big-endian, booleans one byte, parameter vectors an 8-byte
+big-endian element count followed by the elements as little-endian
+IEEE-754 doubles. :data:`_LAYOUT` states each message's tag and fields
+once; :func:`encode` and every decode path read it. This layout is
+normative: tests pin exact byte sequences.
 
 The server keeps the single-writer discipline of the in-process modes:
 every connection handler funnels pushes into one queue consumed by one
@@ -21,16 +23,12 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from fedasync.data import worker_rng
-from fedasync.server import (
-    ProtocolError,
-    ServerState,
-    StaleUpdateError,
-    apply_update,
-)
+from fedasync.server import ProtocolError, ServerState, StaleUpdateError, apply_update
 from fedasync.simulator import (
     ExperimentConfig,
     Problem,
@@ -47,15 +45,7 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024  # guard against absurd declared lengths
 _CUT_GRACE_S = 5.0  # teardown: time for cut connections and the updater to exit
 
 _LEN = struct.Struct(">I")
-_INT = struct.Struct(">q")
 _CNT = struct.Struct(">Q")
-
-TAG_TRIGGER = 1
-TAG_PULL_REQUEST = 2
-TAG_PULL_RESPONSE = 3
-TAG_PUSH = 4
-TAG_PUSH_ACK = 5
-TAG_SHUTDOWN = 6
 
 
 class FrameError(RuntimeError):
@@ -124,104 +114,95 @@ class Shutdown:
 Message = Trigger | PullRequest | PullResponse | Push | PushAck | Shutdown
 
 
-def _enc_vector(params: np.ndarray) -> bytes:
-    params = np.asarray(params, dtype=np.float64)
-    return _CNT.pack(params.shape[0]) + params.astype("<f8", copy=False).tobytes()
+class _Layout(NamedTuple):
+    tag: int
+    fixed: struct.Struct  # the fields before any vector, in field order; "B" is a boolean
+    vector: bool  # the last field is a parameter vector
+
+
+# The wire format, one row per message; README "Wire protocol" mirrors it.
+_LAYOUT: dict[type, _Layout] = {
+    Trigger: _Layout(1, struct.Struct(">q"), False),
+    PullRequest: _Layout(2, struct.Struct(">q"), False),
+    PullResponse: _Layout(3, struct.Struct(">q"), True),
+    Push: _Layout(4, struct.Struct(">qqq"), True),
+    PushAck: _Layout(5, struct.Struct(">Bq"), False),
+    Shutdown: _Layout(6, struct.Struct(">"), False),
+}
+_BY_TAG = {layout.tag: cls for cls, layout in _LAYOUT.items()}
 
 
 def encode(msg: Message) -> bytes:
     """Serialize one message to a complete frame."""
-    if isinstance(msg, Trigger):
-        tag, payload = TAG_TRIGGER, _INT.pack(msg.epoch)
-    elif isinstance(msg, PullRequest):
-        tag, payload = TAG_PULL_REQUEST, _INT.pack(msg.worker_id)
-    elif isinstance(msg, PullResponse):
-        tag, payload = TAG_PULL_RESPONSE, _INT.pack(msg.epoch) + _enc_vector(msg.params)
-    elif isinstance(msg, Push):
-        tag = TAG_PUSH
-        payload = (
-            _INT.pack(msg.worker_id)
-            + _INT.pack(msg.tau)
-            + _INT.pack(msg.local_iters)
-            + _enc_vector(msg.params)
-        )
-    elif isinstance(msg, PushAck):
-        tag = TAG_PUSH_ACK
-        payload = (b"\x01" if msg.accepted else b"\x00") + _INT.pack(msg.current_epoch)
-    elif isinstance(msg, Shutdown):
-        tag, payload = TAG_SHUTDOWN, b""
-    else:
+    layout = _LAYOUT.get(type(msg))
+    if layout is None:
         raise TypeError(f"not a protocol message: {type(msg).__name__}")
+    tag, fixed, vector = layout
+    values = list(vars(msg).values())  # a dataclass's fields, in order
+    tail = b""
+    if vector:
+        vec = np.asarray(values.pop(), dtype=np.float64)
+        tail = _CNT.pack(vec.shape[0]) + vec.astype("<f8", copy=False).tobytes()
+    payload = fixed.pack(*values) + tail
     return _LEN.pack(1 + len(payload)) + bytes([tag]) + payload
 
 
-class _Cursor:
-    """Sequential field reader over one frame's payload."""
+def _flag(byte: int) -> bool:
+    """A boolean field: the byte 0 or 1."""
+    if byte > 1:
+        raise FrameError(f"invalid boolean byte 0x{byte:02x}")
+    return bool(byte)
 
-    def __init__(self, payload: memoryview):
-        self.buf = payload
-        self.pos = 0
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.buf):
-            raise FrameError(
-                f"payload too short: wanted {n} bytes at offset {self.pos}, "
-                f"have {len(self.buf) - self.pos}"
-            )
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def read_int(self) -> int:
-        return _INT.unpack(self.take(8))[0]
-
-    def read_bool(self) -> bool:
-        b = self.take(1)[0]
-        if b not in (0, 1):
-            raise FrameError(f"invalid boolean byte 0x{b:02x}")
-        return bool(b)
-
-    def read_vector(self) -> np.ndarray:
-        (count,) = _CNT.unpack(self.take(8))
-        if count * 8 > len(self.buf) - self.pos:
-            raise FrameError(
-                f"vector claims {count} elements but only "
-                f"{(len(self.buf) - self.pos) // 8} fit in the payload"
-            )
-        raw = self.take(count * 8)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-    def finish(self):
-        if self.pos != len(self.buf):
-            raise FrameError(
-                f"length mismatch: {len(self.buf) - self.pos} unconsumed payload bytes"
-            )
+def _too_short(fmt: str, payload: memoryview) -> FrameError:
+    """The refusal for a payload that ends inside the fields ``fmt``; as a
+    field-by-field read would, it checks the fields before the field cut short."""
+    pos = 0
+    for code in fmt[1:]:
+        n = struct.calcsize(">" + code)
+        if pos + n > len(payload):
+            break
+        if code == "B":
+            _flag(payload[pos])
+        pos += n
+    have = len(payload) - pos
+    return FrameError(f"payload too short: wanted {n} bytes at offset {pos}, have {have}")
 
 
 def _decode_body(body: memoryview) -> Message:
-    tag = body[0]
-    cur = _Cursor(body[1:])
-    if tag == TAG_TRIGGER:
-        msg: Message = Trigger(epoch=cur.read_int())
-    elif tag == TAG_PULL_REQUEST:
-        msg = PullRequest(worker_id=cur.read_int())
-    elif tag == TAG_PULL_RESPONSE:
-        msg = PullResponse(epoch=cur.read_int(), params=cur.read_vector())
-    elif tag == TAG_PUSH:
-        msg = Push(
-            worker_id=cur.read_int(),
-            tau=cur.read_int(),
-            local_iters=cur.read_int(),
-            params=cur.read_vector(),
-        )
-    elif tag == TAG_PUSH_ACK:
-        msg = PushAck(accepted=cur.read_bool(), current_epoch=cur.read_int())
-    elif tag == TAG_SHUTDOWN:
-        msg = Shutdown()
-    else:
-        raise UnknownTagError(f"unknown message tag 0x{tag:02x}")
-    cur.finish()
-    return msg
+    cls = _BY_TAG.get(body[0])
+    if cls is None:
+        raise UnknownTagError(f"unknown message tag 0x{body[0]:02x}")
+    _, fixed, vector = _LAYOUT[cls]
+    payload, end = body[1:], fixed.size + _CNT.size * vector
+    if end > len(payload):
+        raise _too_short(fixed.format + "Q" * vector, payload)
+    values = list(fixed.unpack_from(payload))
+    for i, code in enumerate(fixed.format[1:]):
+        if code == "B":
+            values[i] = _flag(values[i])
+    if vector:
+        (count,) = _CNT.unpack_from(payload, fixed.size)
+        if count * 8 > len(payload) - end:
+            raise FrameError(
+                f"vector claims {count} elements but only "
+                f"{(len(payload) - end) // 8} fit in the payload"
+            )
+        raw, end = payload[end : end + count * 8], end + count * 8
+        values.append(np.frombuffer(raw, dtype="<f8").astype(np.float64))
+    if end != len(payload):
+        raise FrameError(f"length mismatch: {len(payload) - end} unconsumed payload bytes")
+    return cls(*values)
+
+
+def _frame_length(header, max_frame: int) -> int:
+    """The length a frame header declares, refused outside 1..max_frame."""
+    (length,) = _LEN.unpack_from(header)
+    if length > max_frame:
+        raise OversizeFrameError(f"declared length {length} exceeds cap {max_frame}")
+    if length < 1:
+        raise FrameError("declared length 0 leaves no room for a tag")
+    return length
 
 
 def decode_frame(
@@ -236,20 +217,15 @@ def decode_frame(
     view = memoryview(buf)
     if len(view) < 4:
         return None
-    (length,) = _LEN.unpack(view[:4])
-    if length > max_frame:
-        raise OversizeFrameError(f"declared length {length} exceeds cap {max_frame}")
-    if length < 1:
-        raise FrameError("declared length 0 leaves no room for a tag")
+    length = _frame_length(view, max_frame)
     if len(view) < 4 + length:
         return None
-    msg = _decode_body(view[4 : 4 + length])
-    return msg, 4 + length
+    return _decode_body(view[4 : 4 + length]), 4 + length
 
 
-def decode(data: bytes, max_frame: int = MAX_FRAME_BYTES) -> Message:
+def decode(data: bytes) -> Message:
     """Decode exactly one complete frame; trailing bytes are an error."""
-    out = decode_frame(data, max_frame)
+    out = decode_frame(data)
     if out is None:
         raise FrameError(f"incomplete frame: have {len(data)} bytes")
     msg, used = out
@@ -273,17 +249,12 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
-def read_message(sock: socket.socket, max_frame: int = MAX_FRAME_BYTES) -> Message | None:
+def read_message(sock: socket.socket) -> Message | None:
     """Read one framed message from a socket; None on clean EOF."""
     header = _recv_exact(sock, 4)
     if header is None:
         return None
-    (length,) = _LEN.unpack(header)
-    if length > max_frame:
-        raise OversizeFrameError(f"declared length {length} exceeds cap {max_frame}")
-    if length < 1:
-        raise FrameError("declared length 0 leaves no room for a tag")
-    body = _recv_exact(sock, length)
+    body = _recv_exact(sock, _frame_length(header, MAX_FRAME_BYTES))
     if body is None:
         raise FrameError("connection closed between header and body")
     return _decode_body(memoryview(body))
@@ -344,14 +315,12 @@ class TransportServer:
         problem: Problem | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_frame: int = MAX_FRAME_BYTES,
         socket_timeout: float = 120.0,
     ):
         self.cfg = cfg
         self.problem = problem if problem is not None else build_problem(cfg)
         self.state = ServerState.create(self.problem.x0)
         self._result: RunResult | None = None  # set by the updater when it ends
-        self.max_frame = max_frame
         self.socket_timeout = socket_timeout
         self._host, self._port = host, port
         self._lock = threading.Lock()
@@ -463,7 +432,7 @@ class TransportServer:
         return worker_id
 
     def _expect(self, conn: socket.socket, kind: type):
-        msg = read_message(conn, self.max_frame)
+        msg = read_message(conn)
         if msg is None:
             raise EOFError
         if not isinstance(msg, kind):
@@ -570,7 +539,6 @@ def worker_loop(
     cfg: ExperimentConfig,
     worker_id: int,
     problem: Problem | None = None,
-    max_frame: int = MAX_FRAME_BYTES,
     socket_timeout: float = 120.0,
 ) -> tuple[int, int]:
     """Serve one device: cycle Trigger → pull → train → push until Shutdown.
@@ -589,13 +557,13 @@ def worker_loop(
     pushes = accepted = 0
     with _no_delay(socket.create_connection(address, timeout=socket_timeout)) as sock:
         while True:
-            msg = read_message(sock, max_frame)
+            msg = read_message(sock)
             if msg is None or isinstance(msg, Shutdown):
                 break
             if not isinstance(msg, Trigger):
                 raise FrameError(f"expected Trigger, got {type(msg).__name__}")
             send_message(sock, PullRequest(worker_id=worker_id))
-            resp = read_message(sock, max_frame)
+            resp = read_message(sock)
             if not isinstance(resp, PullResponse):
                 raise FrameError(f"expected PullResponse, got {type(resp).__name__}")
             upd = local_train(
@@ -607,16 +575,8 @@ def worker_loop(
                 stream,
                 worker_id=worker_id,
             )
-            send_message(
-                sock,
-                Push(
-                    worker_id=worker_id,
-                    tau=upd.tau,
-                    local_iters=upd.local_iters,
-                    params=np.asarray(upd.params),
-                ),
-            )
-            ack = read_message(sock, max_frame)
+            send_message(sock, Push(worker_id, upd.tau, upd.local_iters, upd.params))
+            ack = read_message(sock)
             if not isinstance(ack, PushAck):
                 raise FrameError(f"expected PushAck, got {type(ack).__name__}")
             pushes += 1

@@ -128,7 +128,6 @@ def test_criterion_04_bounded_delay_invariant():
             task="quadratic",
             n_workers=n,
             total_epochs=40,
-            mode="latency",
             server=ServerConfig(alpha=0.6, strategy="constant", max_staleness=bound),
             worker=WorkerConfig(gamma=0.05, rho=0.01, h_min=1, h_max=3, batch_size=4),
             n_samples=80,

@@ -129,7 +129,7 @@ class TestFedAvg:
         cfg = _cfg(total_epochs=15)
         a = run_fedavg(cfg, favg=FedAvgConfig(k=2))
         b = run_fedavg(cfg, favg=FedAvgConfig(k=2))
-        assert [r.csv_row() for r in a.records] == [r.csv_row() for r in b.records]
+        assert [r.cells() for r in a.records] == [r.cells() for r in b.records]
         np.testing.assert_array_equal(a.final_params, b.final_params)
 
 
@@ -159,7 +159,7 @@ class TestSerialSgd:
         cfg = _cfg(total_epochs=30)
         a = run_serial_sgd(cfg)
         b = run_serial_sgd(cfg)
-        assert [r.csv_row() for r in a.records] == [r.csv_row() for r in b.records]
+        assert [r.cells() for r in a.records] == [r.cells() for r in b.records]
 
     def test_matches_degenerate_async_run(self):
         # one worker, zero staleness bound, full mixing: the asynchronous

@@ -12,7 +12,7 @@ import pytest
 from fedasync.baselines import FedAvgConfig
 from fedasync.cli import KEYS, ConfigError, RunSpec, gradients_to_threshold, main, parse_config
 from fedasync.data import gen_classification
-from fedasync.metrics import load_metrics_csv, load_params
+from fedasync.metrics import FIELDS, load_params, read_csv
 from fedasync.rules import rule_of
 from fedasync.server import ServerConfig
 from fedasync.simulator import DelayModel, ExperimentConfig, run_fedasync_sampled
@@ -28,6 +28,11 @@ SMALL = [
     "h_max=5",
     "batch_size=8",
 ]
+
+
+def _rows(path):
+    """The metrics rows of a CSV file as dicts of numbers; an empty cell is left out."""
+    return [{k: float(v) for k, v in zip(FIELDS, row) if v} for row in read_csv(path)[1]]
 
 
 class TestParseConfig:
@@ -240,8 +245,7 @@ class TestCmdRun:
             "rep000_params.txt",
             "summary.csv",
         ]
-        records = load_metrics_csv(out / "rep000.csv")
-        grads = [r.gradients for r in records]
+        grads = [r["gradients"] for r in _rows(out / "rep000.csv")]
         assert all(b > a for a, b in zip(grads, grads[1:]))
         text = (out / "rep000.csv").read_text()
         assert "# gamma=0.1" in text
@@ -255,17 +259,17 @@ class TestCmdRun:
             ["run", "--out", str(out), "algorithm=fedasync-sampled", "repeats=3"] + SMALL
         )
         assert rc == 0
-        reps = [load_metrics_csv(out / f"rep{r:03d}.csv") for r in range(3)]
+        reps = [_rows(out / f"rep{r:03d}.csv") for r in range(3)]
         from fedasync.cli import _load_summary
 
         header, rows = _load_summary(out / "summary.csv")
         assert header["reps_averaged"] == "3"
         assert len(rows) == len(reps[0])
         for i, row in enumerate(rows):
-            assert row["loss"] == float(np.mean([rec[i].loss for rec in reps]))
-            assert row["gradients"] == float(np.mean([rec[i].gradients for rec in reps]))
+            assert row["loss"] == float(np.mean([rec[i]["loss"] for rec in reps]))
+            assert row["gradients"] == float(np.mean([rec[i]["gradients"] for rec in reps]))
         # the last summary row is the mean of the per-rep final records
-        assert rows[-1]["loss"] == float(np.mean([rec[-1].loss for rec in reps]))
+        assert rows[-1]["loss"] == float(np.mean([rec[-1]["loss"] for rec in reps]))
 
     def test_same_spec_twice_is_byte_identical(self, tmp_path):
         args = ["algorithm=fedasync-latency", "repeats=2"] + SMALL
@@ -384,8 +388,7 @@ class TestCmdCompare:
         def thresholds(out_dir):
             costs = []
             for rep in range(10):
-                recs = load_metrics_csv(out_dir / f"rep{rep:03d}.csv")
-                rows = [{"loss": r.loss, "gradients": r.gradients} for r in recs]
+                rows = _rows(out_dir / f"rep{rep:03d}.csv")
                 costs.append(gradients_to_threshold(rows, 0.1))
             return costs
 
@@ -469,3 +472,31 @@ class TestServeWorkerCommands:
         np.testing.assert_array_equal(load_params(out / "final_params.txt"),
                                       sim.final_params)
         assert (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("command", ["serve", "worker"])
+    @pytest.mark.parametrize(
+        "override", ["k=3", "delay_kind=constant", "local_steps=2", "algorithm=fedavg"]
+    )
+    def test_keys_that_do_not_apply_to_fedasync_net_are_refused(
+        self, tmp_path, capsys, command, override
+    ):
+        # both commands run fedasync-net; a key it never reads is an error,
+        # reported before --out is made or a connection is tried
+        out = tmp_path / "served"
+        flags = {
+            "serve": ["--bind", "127.0.0.1:0", "--out", str(out), "--timeout", "0.5"],
+            "worker": ["--connect", "127.0.0.1:1", "--worker-id", "0"],
+        }[command]
+        assert main([command, *flags, override]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert f"  - {override.split('=')[0]}" in err
+        assert not out.exists()
+
+    def test_algorithm_from_config_file_is_checked(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text("algorithm=sgd\n")
+        out = tmp_path / "served"
+        assert main(["serve", "-c", str(path), "--out", str(out), "--timeout", "0.5"]) == 2
+        assert "algorithm: serve runs fedasync-net" in capsys.readouterr().err
+        assert not out.exists()

@@ -8,8 +8,8 @@ import pytest
 from fedasync.metrics import (
     CSV_HEADER,
     MetricsRecord,
-    load_metrics_csv,
     load_params,
+    read_csv,
     save_params,
     write_metrics_csv,
     write_metrics_jsonl,
@@ -45,8 +45,9 @@ class TestCsv:
         path = tmp_path / "m.csv"
         original = _records()
         write_metrics_csv(original, str(path), {"alpha": 0.6})
-        back = load_metrics_csv(str(path))
-        assert back == original
+        comments, rows = read_csv(str(path))
+        assert comments == {"alpha": "0.6"}
+        assert rows == [rec.cells() for rec in original]
 
     def test_identical_bytes_on_rewrite(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -72,17 +73,18 @@ class TestCsv:
         ]
         path = tmp_path / "r.csv"
         write_metrics_csv(recs, str(path))
-        back = load_metrics_csv(str(path))
-        for orig, rec in zip(recs, back):
-            assert orig.loss == rec.loss
-            assert orig.grad_norm_sq == rec.grad_norm_sq
-            assert orig.accuracy == rec.accuracy
+        _, rows = read_csv(str(path))
+        assert len(rows) == len(recs)
+        for orig, row in zip(recs, rows):
+            assert orig.loss == float(row[2])
+            assert orig.grad_norm_sq == float(row[3])
+            assert orig.accuracy == float(row[4])
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("epoch,loss\n1,2.0\n")
         with pytest.raises(ValueError, match="header"):
-            load_metrics_csv(str(path))
+            read_csv(str(path))
 
 
 class TestJsonl:

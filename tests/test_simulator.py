@@ -74,10 +74,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="task"):
             _cfg(task="svm")
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            _cfg(mode="replay")
-
     def test_logistic_must_be_binary(self):
         with pytest.raises(ValueError, match="binary"):
             _cfg(task="logistic", n_classes=3)
@@ -109,7 +105,7 @@ class TestSampledMode:
     def test_deterministic_records_and_params(self):
         a = run_fedasync_sampled(_cfg())
         b = run_fedasync_sampled(_cfg())
-        assert [r.csv_row() for r in a.records] == [r.csv_row() for r in b.records]
+        assert [r.cells() for r in a.records] == [r.cells() for r in b.records]
         np.testing.assert_array_equal(a.final_params, b.final_params)
 
     def test_epochs_gap_free_and_staleness_bounded(self):
@@ -187,10 +183,10 @@ class TestSampledMode:
 
 class TestLatencyMode:
     def test_deterministic(self):
-        cfg = _cfg(mode="latency", delay=DelayModel(kind="exponential"))
+        cfg = _cfg(delay=DelayModel(kind="exponential"))
         a = run_fedasync_latency(cfg)
         b = run_fedasync_latency(cfg)
-        assert [r.csv_row() for r in a.records] == [r.csv_row() for r in b.records]
+        assert [r.cells() for r in a.records] == [r.cells() for r in b.records]
         np.testing.assert_array_equal(a.final_params, b.final_params)
 
     def test_serialized_single_worker_matches_sampled(self):
@@ -201,14 +197,13 @@ class TestLatencyMode:
         )
         sampled = run_fedasync_sampled(_cfg(**shared))
         latency = run_fedasync_latency(
-            _cfg(mode="latency", delay=DelayModel(kind="constant"), **shared)
+            _cfg(delay=DelayModel(kind="constant"), **shared)
         )
         np.testing.assert_array_equal(sampled.final_params, latency.final_params)
         assert [r.staleness for r in latency.records] == [0] * 26
 
     def test_zero_bound_round_robin_matches_scripted_loop(self):
         cfg = _cfg(
-            mode="latency",
             n_workers=3,
             total_epochs=21,
             server=ServerConfig(alpha=0.7, max_staleness=0),
@@ -236,7 +231,6 @@ class TestLatencyMode:
 
     def test_staleness_bounded_and_epochs_gap_free(self):
         cfg = _cfg(
-            mode="latency",
             n_workers=6,
             total_epochs=60,
             server=ServerConfig(alpha=0.5, max_staleness=3),
@@ -248,7 +242,7 @@ class TestLatencyMode:
         assert len(result.apply_log) == 60
 
     def test_sim_time_nondecreasing_and_positive(self):
-        cfg = _cfg(mode="latency", total_epochs=20)
+        cfg = _cfg(total_epochs=20)
         result = run_fedasync_latency(cfg)
         times = [r.sim_time for r in result.records]
         assert times[0] == 0.0
@@ -259,7 +253,6 @@ class TestLatencyMode:
         # bound chosen high enough that even the slow worker's pushes
         # land, so the comparison sees every update
         cfg = _cfg(
-            mode="latency",
             n_workers=4,
             total_epochs=150,
             server=ServerConfig(alpha=0.5, max_staleness=100),

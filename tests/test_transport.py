@@ -1,11 +1,13 @@
 """Wire-format and socket-loop tests for the process deployment mode."""
 
 import logging
+import re
 import socket
 import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -576,3 +578,11 @@ class TestDisconnects:
             _run_net(cfg)
         assert isinstance(err.value.cause, DivergenceError)
         assert err.value.epoch < 1_000
+
+
+class TestWireDocs:
+    def test_readme_table_lists_every_message(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Wire protocol\n", 1)[1].split("\n## ", 1)[0]
+        rows = set(re.findall(r"^\| (\d+) \| (\w+) \|", section, flags=re.MULTILINE))
+        assert rows == {(str(row.tag), cls.__name__) for cls, row in transport._LAYOUT.items()}
