@@ -16,6 +16,7 @@ from fedasync.rules import at_least, optional, validate
 from fedasync.simulator import (
     ExperimentConfig,
     Problem,
+    RunLoop,
     RunResult,
     build_problem,
     drive,
@@ -101,7 +102,7 @@ def run_fedavg(
             state.n_gradients += sum(u.local_iters for u in results)
             yield 0.0
 
-    return drive(cfg, problem, state, schedule(), record_trajectory, epochs=rounds)
+    return drive(RunLoop(cfg, problem, state, record_trajectory, epochs=rounds), schedule())
 
 
 def run_serial_sgd(
@@ -147,4 +148,4 @@ def run_serial_sgd(
             state.n_gradients += upd.local_iters
             yield 0.0
 
-    return drive(cfg, problem, state, schedule(), record_trajectory)
+    return drive(RunLoop(cfg, problem, state, record_trajectory), schedule())

@@ -357,15 +357,16 @@ def _rep_header(spec: RunSpec, rep: int) -> dict[str, object]:
 
 
 def _mean_rows(all_records: list[list[MetricsRecord]]) -> list[dict[str, float | None]]:
-    """Average rep curves row by row (reps share the eval schedule);
-    a column with any None (accuracy on regression) stays None."""
-    rows = []
-    for group in zip(*all_records):
-        row: dict[str, float | None] = {}
-        for name in FIELDS:
-            values = [getattr(r, name) for r in group]
-            row[name] = None if None in values else float(np.mean(values))
-        rows.append(row)
+    """Average rep curves row by row (reps share the eval schedule); a
+    cell with any None (accuracy on regression) stays None. One ``np.mean``
+    per column, over a row per eval point and a column per rep, gives
+    each cell the bits ``np.mean`` of its own values would."""
+    groups = list(zip(*all_records))
+    rows: list[dict[str, float | None]] = [{} for _ in groups]
+    for name in FIELDS:
+        cells = [[getattr(r, name) for r in group] for group in groups]
+        for row, values, mean in zip(rows, cells, np.mean(np.array(cells, float), axis=1).tolist()):
+            row[name] = None if None in values else mean
     return rows
 
 
@@ -439,10 +440,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-_OBJECTIVE_KEYS = (
-    "task", "n_samples", "dim", "n_classes", "sep", "noise_std",
-    "hidden", "eval_frac", "seed",
-)
+_DATA_KEYS = ("task", "n_samples", "dim", "n_classes", "sep", "noise_std", "seed")
+_OBJECTIVE_KEYS = (*_DATA_KEYS, "hidden", "eval_frac")
 
 
 def cmd_compare(args) -> int:
@@ -551,7 +550,15 @@ def cmd_worker(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    """Write the dataset; only the keys that shape it (:data:`_DATA_KEYS`)
+    may be set, on the command line or in the config file."""
     spec = parse_config(args.config, args.overrides, require_algorithm=False)
+    given = {tok.partition("=")[0].strip() for tok in args.overrides}
+    if args.config is not None:
+        given |= _read_config_file(args.config, []).keys()
+    unused = sorted(given.difference(_DATA_KEYS))
+    if unused:
+        raise ConfigError([f"{key}: gen-data does not read it" for key in unused])
     if os.path.exists(args.out):
         print(f"refusing to overwrite existing file {args.out!r}", file=sys.stderr)
         return 2

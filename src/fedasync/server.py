@@ -50,8 +50,10 @@ class ServerConfig:
         Slope and knee of the hinge family; weight stays 1 up to a
         staleness of ``hinge_b``.
     max_staleness : int
-        Delay bound; updates with staleness above it are rejected. Also
-        caps concurrent dispatches at ``max_staleness + 1``.
+        Delay bound; updates with staleness above it are rejected. The
+        latency scheduler also caps concurrent dispatches at
+        ``max_staleness + 1`` (:func:`plan_triggers`); the TCP server
+        gates dispatch instead.
     """
 
     alpha: float = field(metadata=bound("must be in (0, 1]", lambda a: 0.0 < a <= 1.0))

@@ -1,10 +1,11 @@
 """Deterministic in-process execution of the asynchronous protocol.
 
-:func:`drive` is the run loop of every algorithm (these two modes, the
-baselines and the TCP server's updater): evaluation schedule,
-trajectory, divergence handling and the :class:`RunResult`. Each runner
-supplies only its scheduler, the generator that decides which worker
-trains next and commits its update.
+:func:`drive` is the run loop of every in-process algorithm (these two
+modes and the baselines): evaluation schedule, trajectory, divergence
+handling and the :class:`RunResult`. Each runner supplies only its
+scheduler, the generator that decides which worker trains next and
+commits its update. The TCP server takes the same :class:`RunLoop`
+step from its connection handlers.
 
 Two modes share all of the numeric machinery and differ only in how
 staleness arises:
@@ -231,42 +232,50 @@ def make_record(problem: Problem, state: ServerState, sim_time: float) -> Metric
     )
 
 
-def drive(
-    cfg: ExperimentConfig,
-    problem: Problem,
-    state: ServerState,
-    schedule: Iterator[float],
-    record_trajectory: bool = False,
-    epochs: int | None = None,
-) -> RunResult:
-    """The server loop every algorithm shares around its ``schedule``.
+class RunLoop:
+    """The run loop's step, taken after each committed update by
+    :func:`drive` and by the TCP server's connection handlers. It
+    evaluates the model at epoch 0, after every ``cfg.eval_every`` epochs
+    and at the last epoch, ``epochs`` (default ``cfg.total_epochs``); with
+    ``record_trajectory`` it keeps a copy of the model after every update."""
 
-    ``schedule`` is a generator that commits one update to ``state`` per
-    item (advancing ``state.epoch``) and yields that update's
-    ``sim_time``. The loop evaluates the model at epoch 0, after
-    every ``cfg.eval_every`` epochs and at the last epoch, ``epochs``
-    (default ``cfg.total_epochs``); with ``record_trajectory`` it keeps
-    a copy of the model after every update. A :class:`DivergenceError`
+    def __init__(
+        self,
+        cfg: ExperimentConfig,
+        problem: Problem,
+        state: ServerState,
+        record_trajectory: bool = False,
+        epochs: int | None = None,
+    ):
+        self.problem, self.state, self.every = problem, state, cfg.eval_every
+        self.last = cfg.total_epochs if epochs is None else epochs
+        self.records = [make_record(problem, state, 0.0)]
+        self.trajectory: list[np.ndarray] | None = [] if record_trajectory else None
+
+    def step(self, sim_time: float) -> None:
+        """Account for the update just committed to ``state`` at ``sim_time``."""
+        state = self.state
+        if self.trajectory is not None:
+            self.trajectory.append(state.params.copy())
+        if state.epoch % self.every == 0 or state.epoch == self.last:
+            self.records.append(make_record(self.problem, state, sim_time))
+
+    def result(self) -> RunResult:
+        return RunResult(self.records, self.state.params.copy(), self.state, self.trajectory)
+
+
+def drive(run: RunLoop, schedule: Iterator[float]) -> RunResult:
+    """The server loop every in-process algorithm shares around its
+    ``schedule``, a generator that commits one update to ``run.state`` per
+    item and yields that update's ``sim_time``. A :class:`DivergenceError`
     raised by the scheduler becomes a :class:`RunFailure` carrying the
-    rows so far.
-    """
-    last = cfg.total_epochs if epochs is None else epochs
-    records = [make_record(problem, state, 0.0)]
-    trajectory: list[np.ndarray] | None = [] if record_trajectory else None
+    rows so far."""
     try:
         for sim_time in schedule:
-            if trajectory is not None:
-                trajectory.append(state.params.copy())
-            if state.epoch % cfg.eval_every == 0 or state.epoch == last:
-                records.append(make_record(problem, state, sim_time))
+            run.step(sim_time)
     except DivergenceError as exc:
-        raise RunFailure(records, state.epoch, exc) from exc
-    return RunResult(
-        records=records,
-        final_params=state.params.copy(),
-        state=state,
-        trajectory=trajectory,
-    )
+        raise RunFailure(run.records, run.state.epoch, exc) from exc
+    return run.result()
 
 
 def run_fedasync_sampled(
@@ -307,7 +316,7 @@ def run_fedasync_sampled(
             apply_update(state, cfg.server, upd)
             yield 0.0
 
-    return drive(cfg, problem, state, schedule(), record_trajectory)
+    return drive(RunLoop(cfg, problem, state, record_trajectory), schedule())
 
 
 def run_fedasync_latency(
@@ -370,6 +379,6 @@ def run_fedasync_latency(
             if state.epoch < cfg.total_epochs:
                 dispatch(now)
 
-    result = drive(cfg, problem, state, schedule(), record_trajectory)
+    result = drive(RunLoop(cfg, problem, state, record_trajectory), schedule())
     result.apply_log = apply_log
     return result

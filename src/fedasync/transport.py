@@ -8,16 +8,21 @@ IEEE-754 doubles. :data:`_LAYOUT` states each message's tag and fields
 once; :func:`encode` and every decode path read it. This layout is
 normative: tests pin exact byte sequences.
 
-The server keeps the single-writer discipline of the in-process modes:
-every connection handler funnels pushes into one queue consumed by one
-updater thread, and model pulls hand out atomic (epoch, params)
-snapshots. Handlers never touch the model directly.
+Write-behind: each end keeps a per-connection :class:`_Buffer`. Frames
+written to it leave together, in one ``sendall``, just before that end's
+next socket read or the server's next gate wait would block; neither end
+blocks holding unsent output, and the server never sends holding its
+lock. With the worker's PullRequest sent ahead, an update costs one send
+each way: Push and PullRequest, then PushAck, Trigger and PullResponse.
+
+The connection handler that reads a push applies it and takes the run
+loop's step (:class:`fedasync.simulator.RunLoop`) under the server lock,
+so the model has one writer at a time, as in the in-process modes.
 """
 
 from __future__ import annotations
 
 import logging
-import queue
 import socket
 import struct
 import threading
@@ -32,9 +37,9 @@ from fedasync.server import ProtocolError, ServerState, StaleUpdateError, apply_
 from fedasync.simulator import (
     ExperimentConfig,
     Problem,
+    RunLoop,
     RunResult,
     build_problem,
-    drive,
     make_record,  # not called here; bench/tracing.py patches it in every runner module
 )
 from fedasync.worker import LocalUpdate, local_train
@@ -42,7 +47,8 @@ from fedasync.worker import LocalUpdate, local_train
 log = logging.getLogger("fedasync.transport")
 
 MAX_FRAME_BYTES = 256 * 1024 * 1024  # guard against absurd declared lengths
-_CUT_GRACE_S = 5.0  # teardown: time for cut connections and the updater to exit
+_CUT_GRACE_S = 5.0  # teardown: time for cut connections to exit
+_RECV_BYTES = 1 << 16  # what one buffered read asks the socket for
 
 _LEN = struct.Struct(">I")
 _CNT = struct.Struct(">Q")
@@ -234,30 +240,47 @@ def decode(data: bytes) -> Message:
     return msg
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Read exactly n bytes; None on clean EOF at a frame boundary."""
-    chunks = []
-    got = 0
-    while got < n:
-        chunk = sock.recv(n - got)
+class _Buffer:
+    """One end's per-connection buffer: bytes received but not yet
+    decoded, and frames written behind but not yet sent."""
+
+    def __init__(self):
+        self.inbox, self.outbox = bytearray(), bytearray()
+
+    def put(self, msg: Message) -> None:
+        self.outbox += encode(msg)
+
+    def flush(self, sock: socket.socket) -> None:
+        if self.outbox:
+            sock.sendall(self.outbox)
+            self.outbox.clear()
+
+
+def read_message(sock: socket.socket, buf: _Buffer | None = None) -> Message | None:
+    """Read one framed message from a socket; None on clean EOF.
+
+    With ``buf``, this end's buffer, it takes the next frame from the
+    inbox; only when no whole frame is there does it flush ``buf``, then
+    ``recv`` what has arrived. Without it, it reads exactly one frame and
+    nothing past it.
+    """
+    own = buf is None
+    buf = _Buffer() if own else buf
+    inbox = buf.inbox
+    while (out := decode_frame(inbox)) is None:
+        buf.flush(sock)
+        want = _RECV_BYTES
+        if own:  # no further than this frame's end
+            want = (4 if len(inbox) < 4 else 4 + _frame_length(inbox, MAX_FRAME_BYTES)) - len(inbox)
+        chunk = sock.recv(want)
         if not chunk:
-            if got == 0:
-                return None
-            raise FrameError(f"connection closed mid-frame ({got}/{n} bytes)")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
-def read_message(sock: socket.socket) -> Message | None:
-    """Read one framed message from a socket; None on clean EOF."""
-    header = _recv_exact(sock, 4)
-    if header is None:
-        return None
-    body = _recv_exact(sock, _frame_length(header, MAX_FRAME_BYTES))
-    if body is None:
-        raise FrameError("connection closed between header and body")
-    return _decode_body(memoryview(body))
+            if inbox:
+                raise FrameError(f"connection closed mid-frame ({len(inbox)} bytes read)")
+            return None
+        inbox += chunk
+    msg, used = out
+    del inbox[:used]
+    return msg
 
 
 def send_message(sock: socket.socket, msg: Message) -> None:
@@ -285,7 +308,9 @@ class TransportServer:
     """Accepts worker connections and runs the protocol to T epochs.
 
     One thread per connection exchanges Trigger / PullRequest /
-    PullResponse / Push / PushAck in lock step. A connection is bound to
+    PullResponse / Push / PushAck in lock step, writing behind (see the
+    module docstring), for a worker that sends its PullRequest ahead and
+    for one that waits for the Trigger alike. A connection is bound to
     the worker id of its first PullRequest; ids out of range or held by
     another live connection are refused, and a Push that names another
     worker or fewer than one local step is a protocol error.
@@ -301,13 +326,11 @@ class TransportServer:
     flight, so a slow worker holds the others back (as in stale
     synchronous parallel) instead of having its late push rejected.
 
-    Pushes go through a queue to the single updater thread, which is
-    the only mutator of the model and runs the shared run loop
-    (:func:`fedasync.simulator.drive`). When the epoch counter reaches
-    ``total_epochs`` every connection receives Shutdown.
+    The PullResponse snapshot is taken when the PullRequest is read.
+    When the epoch counter reaches ``total_epochs`` every connection
+    receives Shutdown; the server then half-closes and reads to EOF, so
+    that an unanswered PullRequest does not turn the close into a reset.
     """
-
-    _STOP = object()
 
     def __init__(
         self,
@@ -320,7 +343,7 @@ class TransportServer:
         self.cfg = cfg
         self.problem = problem if problem is not None else build_problem(cfg)
         self.state = ServerState.create(self.problem.x0)
-        self._result: RunResult | None = None  # set by the updater when it ends
+        self._run = RunLoop(cfg, self.problem, self.state)
         self.socket_timeout = socket_timeout
         self._host, self._port = host, port
         self._lock = threading.Lock()
@@ -328,12 +351,10 @@ class TransportServer:
         self._in_flight: list[int] = []  # trigger epochs of the tasks in flight
         self._bound: set[int] = set()  # worker ids held by live connections
         self._done = False
-        self._queue: queue.Queue = queue.Queue()
         self._done_event = threading.Event()
         self._listener: socket.socket | None = None
         self._handlers: list[tuple[threading.Thread, socket.socket]] = []
         self._accept_thread: threading.Thread | None = None
-        self._updater_thread: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -345,8 +366,6 @@ class TransportServer:
         listener.listen()
         self._listener = listener
         self._host, self._port = listener.getsockname()
-        self._updater_thread = threading.Thread(target=self._updater, daemon=True)
-        self._updater_thread.start()
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
         return self._host, self._port
@@ -370,16 +389,14 @@ class TransportServer:
             self._teardown(grace=0.0)
             raise TimeoutError(f"run did not finish within {timeout} s")
         self._teardown(grace=self.socket_timeout)
-        if self._result is None:
-            raise RuntimeError("the updater thread did not finish")
-        return self._result
+        return self._run.result()
 
     def _teardown(self, grace: float) -> None:
         """Join every server thread under one deadline. Connections get
         ``grace`` seconds to finish their task and take their Shutdown;
         those still open then are cut."""
         assert self._listener is not None
-        assert self._accept_thread is not None and self._updater_thread is not None
+        assert self._accept_thread is not None
         now = time.monotonic()
         cut_at, deadline = now + grace, now + grace + _CUT_GRACE_S
 
@@ -396,8 +413,6 @@ class TransportServer:
                 _cut(conn)
         for t, _ in self._handlers:
             t.join(until(deadline))
-        self._queue.put(self._STOP)
-        self._updater_thread.join(until(deadline))
 
     # -- threads -----------------------------------------------------------
 
@@ -431,8 +446,23 @@ class TransportServer:
             self._bound.add(worker_id)
         return worker_id
 
-    def _expect(self, conn: socket.socket, kind: type):
-        msg = read_message(conn)
+    def _claim(self, conn: socket.socket, buf: _Buffer) -> int | None:
+        """Take a task slot at the dispatch gate: its trigger epoch, or None
+        once the run is over. ``buf`` is flushed, unlocked, before any wait."""
+        while True:
+            with self._slots:
+                if not buf.outbox:
+                    while not self._done and not self._may_trigger():
+                        self._slots.wait()
+                if self._done:
+                    return None
+                if self._may_trigger():
+                    self._in_flight.append(self.state.epoch)
+                    return self.state.epoch
+            buf.flush(conn)
+
+    def _expect(self, conn: socket.socket, buf: _Buffer, kind: type):
+        msg = read_message(conn, buf)
         if msg is None:
             raise EOFError
         if not isinstance(msg, kind):
@@ -442,18 +472,12 @@ class TransportServer:
     def _handle(self, conn: socket.socket, addr):
         worker_id: int | None = None  # bound at the first PullRequest
         task: int | None = None  # trigger epoch of this connection's task in flight
+        buf = _Buffer()
         try:
             with conn:
-                while True:
-                    with self._slots:
-                        while not self._done and not self._may_trigger():
-                            self._slots.wait()
-                        if self._done:
-                            break
-                        task = self.state.epoch
-                        self._in_flight.append(task)
-                    send_message(conn, Trigger(epoch=task))
-                    pull = self._expect(conn, PullRequest)
+                while (task := self._claim(conn, buf)) is not None:
+                    buf.put(Trigger(epoch=task))
+                    pull = self._expect(conn, buf, PullRequest)
                     if worker_id is None:
                         worker_id = self._bind(pull.worker_id)
                     elif pull.worker_id != worker_id:
@@ -463,18 +487,21 @@ class TransportServer:
                         )
                     with self._lock:
                         snap_epoch, snap_params = self.state.pull()
-                    send_message(conn, PullResponse(epoch=snap_epoch, params=snap_params))
-                    push = self._expect(conn, Push)
-                    verdict: queue.Queue = queue.Queue(maxsize=1)
-                    self._queue.put((push, worker_id, verdict))
-                    accepted, current_epoch = verdict.get()
+                    buf.put(PullResponse(epoch=snap_epoch, params=snap_params))
+                    push = self._expect(conn, buf, Push)
                     with self._slots:
+                        accepted = self._commit(push, worker_id)
                         self._in_flight.remove(task)
                         task = None
                         self._slots.notify_all()
-                    send_message(conn, PushAck(accepted=accepted, current_epoch=current_epoch))
+                        ack = PushAck(accepted=accepted, current_epoch=self.state.epoch)
+                    buf.put(ack)
                 try:
-                    send_message(conn, Shutdown())
+                    buf.put(Shutdown())
+                    buf.flush(conn)
+                    conn.shutdown(socket.SHUT_WR)
+                    while conn.recv(_RECV_BYTES):  # to EOF, so the close is a FIN
+                        pass
                 except OSError:
                     pass
         except EOFError:
@@ -490,29 +517,11 @@ class TransportServer:
                 if worker_id is not None:
                     self._bound.discard(worker_id)
 
-    def _updater(self):
-        self._result = drive(self.cfg, self.problem, self.state, self._applied())
-
-    def _applied(self):
-        """The updater's scheduler for :func:`drive`: queued pushes in
-        arrival order, one step per accepted push. Being the model's only
-        writer, it lets the run loop evaluate ``state.params`` unlocked; the
-        ack goes out after that evaluation."""
-        while (item := self._queue.get()) is not self._STOP:
-            push, worker_id, verdict = item
-            with self._lock:
-                accepted = not self._done and self._apply(push, worker_id)
-                if accepted and self.state.epoch >= self.cfg.total_epochs:
-                    self._done = True
-                    self._slots.notify_all()
-            if accepted:
-                yield 0.0
-            verdict.put((accepted, self.state.epoch))
-            if self._done:
-                self._done_event.set()
-
-    def _apply(self, push: Push, worker_id: int) -> bool:
-        """Apply one push to the model; lock held. False if refused."""
+    def _commit(self, push: Push, worker_id: int) -> bool:
+        """Apply one push and take the run loop's step; lock held. False
+        if refused. The push that reaches ``total_epochs`` ends the run."""
+        if self._done:
+            return False
         try:
             if push.worker_id != worker_id:
                 raise ProtocolError(
@@ -526,12 +535,17 @@ class TransportServer:
                 local_iters=push.local_iters,
             )
             apply_update(self.state, self.cfg.server, upd)
-            return True
         except StaleUpdateError as exc:
             log.info("rejected stale push from worker %s: %s", worker_id, exc)
+            return False
         except ProtocolError as exc:
             log.error("protocol error from worker %s: %s", worker_id, exc)
-        return False
+            return False
+        self._run.step(0.0)
+        if self.state.epoch >= self.cfg.total_epochs:
+            self._done = True
+            self._done_event.set()
+        return True
 
 
 def worker_loop(
@@ -543,10 +557,12 @@ def worker_loop(
 ) -> tuple[int, int]:
     """Serve one device: cycle Trigger → pull → train → push until Shutdown.
 
-    The worker rebuilds the same problem from the shared config, trains
-    on its own shard, and draws from the same per-worker stream as the
-    in-process modes, so a loopback run is numerically interchangeable
-    with a simulated one. Returns (pushes sent, pushes accepted).
+    Each PullRequest goes out ahead of its Trigger: on connect, then with
+    each Push. The worker rebuilds the same problem from the shared
+    config, trains on its own shard, and draws from the same per-worker
+    stream as the in-process modes, so a loopback run is numerically
+    interchangeable with a simulated one. Returns (pushes sent, pushes
+    accepted).
     """
     if problem is None:
         problem = build_problem(cfg)
@@ -555,15 +571,16 @@ def worker_loop(
     shard = problem.shards[worker_id]
     stream = worker_rng(cfg.seed, worker_id)
     pushes = accepted = 0
+    buf = _Buffer()
+    buf.put(PullRequest(worker_id=worker_id))
     with _no_delay(socket.create_connection(address, timeout=socket_timeout)) as sock:
         while True:
-            msg = read_message(sock)
+            msg = read_message(sock, buf)
             if msg is None or isinstance(msg, Shutdown):
                 break
             if not isinstance(msg, Trigger):
                 raise FrameError(f"expected Trigger, got {type(msg).__name__}")
-            send_message(sock, PullRequest(worker_id=worker_id))
-            resp = read_message(sock)
+            resp = read_message(sock, buf)
             if not isinstance(resp, PullResponse):
                 raise FrameError(f"expected PullResponse, got {type(resp).__name__}")
             upd = local_train(
@@ -575,8 +592,9 @@ def worker_loop(
                 stream,
                 worker_id=worker_id,
             )
-            send_message(sock, Push(worker_id, upd.tau, upd.local_iters, upd.params))
-            ack = read_message(sock)
+            buf.put(Push(worker_id, upd.tau, upd.local_iters, upd.params))
+            buf.put(PullRequest(worker_id=worker_id))
+            ack = read_message(sock, buf)
             if not isinstance(ack, PushAck):
                 raise FrameError(f"expected PushAck, got {type(ack).__name__}")
             pushes += 1

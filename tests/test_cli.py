@@ -8,11 +8,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedasync.baselines import FedAvgConfig
-from fedasync.cli import KEYS, ConfigError, RunSpec, gradients_to_threshold, main, parse_config
+from fedasync.cli import (
+    KEYS,
+    ConfigError,
+    RunSpec,
+    _mean_rows,
+    gradients_to_threshold,
+    main,
+    parse_config,
+)
 from fedasync.data import gen_classification
-from fedasync.metrics import FIELDS, load_params, read_csv
+from fedasync.metrics import FIELDS, MetricsRecord, load_params, read_csv
 from fedasync.rules import rule_of
 from fedasync.server import ServerConfig
 from fedasync.simulator import DelayModel, ExperimentConfig, run_fedasync_sampled
@@ -314,6 +324,43 @@ class TestCmdRun:
         assert (out / "rep000.jsonl").exists()
 
 
+_CELL = st.one_of(
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf")]),
+    st.integers(-(2**53), 2**53),
+)
+
+
+def _bits(value):
+    return None if value is None else np.float64(value).tobytes()
+
+
+class TestMeanRows:
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda reps: st.lists(
+                st.lists(st.fixed_dictionaries({n: _CELL for n in FIELDS}), min_size=reps, max_size=reps),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_matches_per_cell_mean_bit_for_bit(self, table):
+        # table[row][rep]; _mean_rows takes one record list per rep
+        reps = [[MetricsRecord(**row[r]) for row in table] for r in range(len(table[0]))]
+        got = _mean_rows(reps)
+        assert len(got) == len(table)
+        for row, cells in zip(got, table):
+            for name in FIELDS:
+                values = [c[name] for c in cells]
+                want = None if None in values else float(np.mean(values))
+                assert _bits(row[name]) == _bits(want), (name, values)
+
+
 class TestCmdCompare:
     def _small_run(self, tmp_path, name, extra=()):
         out = tmp_path / name
@@ -415,6 +462,24 @@ class TestGenData:
         ref = gen_classification(60, 4, 2, 3.0, 0)
         np.testing.assert_array_equal(rows[:, 1:], ref.features)
         np.testing.assert_array_equal(rows[:, 0], ref.targets)
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_refuses_keys_that_do_not_shape_the_data(self, tmp_path, capsys, from_file):
+        out = tmp_path / "d.txt"
+        keys = ["k=3", "delay_kind=constant", "local_steps=2", "max_staleness=9"]
+        argv = ["gen-data", "--out", str(out), "n_samples=60"]
+        if from_file:
+            conf = tmp_path / "c.txt"
+            conf.write_text("\n".join(keys) + "\n")
+            argv += ["-c", str(conf)]
+        else:
+            argv += keys
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        for key in ("k", "delay_kind", "local_steps", "max_staleness"):
+            assert f"{key}: gen-data does not read it" in err
+        assert not out.exists()
 
     def test_refuses_existing_file(self, tmp_path, capsys):
         out = tmp_path / "data.txt"

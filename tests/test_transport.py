@@ -339,6 +339,47 @@ class TestLoopback:
         assert done["loop"] == (3, 3)
 
 
+class TestOneSendPerExchange:
+    def test_pipelined_client_gets_fin_after_shutdown(self):
+        # the PullRequest sent with the last Push is never answered; the
+        # server still reads it, and whatever comes after its Shutdown, so
+        # the close is a FIN, not a reset
+        cfg = _cfg(total_epochs=1, worker=WorkerConfig(gamma=0.1, h_min=1, h_max=1))
+        server = TransportServer(cfg)
+        host, port = server.start()
+        with socket.create_connection((host, port), timeout=30) as sock:
+            send_message(sock, PullRequest(worker_id=0))
+            assert isinstance(read_message(sock), Trigger)
+            resp = read_message(sock)
+            assert isinstance(resp, PullResponse)
+            push = Push(worker_id=0, tau=resp.epoch, local_iters=1, params=resp.params + 1.0)
+            sock.sendall(encode(push) + encode(PullRequest(worker_id=0)))
+            assert read_message(sock) == PushAck(accepted=True, current_epoch=1)
+            assert isinstance(read_message(sock), Shutdown)
+            assert sock.recv(1) == b""
+            for _ in range(2):  # a reset would fail the second send
+                send_message(sock, PullRequest(worker_id=0))
+                time.sleep(0.05)
+        assert server.wait(timeout=30).state.epoch == 1
+
+    def test_one_worker_run_makes_one_send_per_update_each_way(self, monkeypatch):
+        epochs = 20
+        sends = {"server": 0, "worker": 0}
+        original = socket.socket.sendall
+
+        def spy(sock, *args, **kwargs):
+            side = "server" if sock.getsockname()[1] == server._port else "worker"
+            sends[side] += 1
+            return original(sock, *args, **kwargs)
+
+        monkeypatch.setattr(socket.socket, "sendall", spy)
+        cfg = _cfg(total_epochs=epochs)
+        server = TransportServer(cfg)
+        _start_workers(server, cfg, 1)
+        assert 0 < sends["worker"] <= epochs + 1
+        assert 0 < sends["server"] <= epochs + 2
+
+
 class TestNoDelay:
     def test_both_ends_set_tcp_nodelay(self, monkeypatch):
         # every read on either end records the socket's TCP_NODELAY flag
