@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -55,7 +54,7 @@ from fedasync.simulator import (
     run_fedasync_sampled,
 )
 from fedasync.transport import TransportServer, worker_loop
-from fedasync.worker import DivergenceError, WorkerConfig
+from fedasync.worker import WorkerConfig
 
 ALGORITHMS = ("fedasync-sampled", "fedasync-latency", "fedasync-net", "fedavg", "sgd")
 
@@ -292,47 +291,16 @@ def parse_config(
 
 
 def _run_net(cfg: ExperimentConfig) -> RunResult:
-    """fedasync-net inside one process: real sockets, worker threads.
-
-    A worker error stops the server at once, so the other workers take
-    their Shutdown, and is raised here; a divergence becomes a
-    RunFailure, as in the other runners.
+    """fedasync-net inside one process: real loopback sockets, and no
+    thread. The server's loop drives the workers inside ``wait``; a
+    worker error ends the run there, after every socket is closed, and a
+    divergence becomes a RunFailure, as in the other runners.
     """
-    import threading
-
     server = TransportServer(cfg)
-    host, port = server.start()
-    errors: list[Exception] = []
-
-    def work(w: int) -> None:
-        try:
-            worker_loop((host, port), cfg, w, problem=server.problem)
-        except Exception as exc:
-            errors.append(exc)
-            server.stop()
-
-    workers = [
-        threading.Thread(target=work, args=(w,), daemon=True) for w in range(cfg.n_workers)
-    ]
-    for t in workers:
-        t.start()
-    deadline = time.monotonic() + 600.0
-    for t in workers:
-        t.join(max(0.0, deadline - time.monotonic()))
-    timed_out = any(t.is_alive() for t in workers)
-    server.stop()
-    result = server.wait()
-    if timed_out:
-        raise TimeoutError("workers did not finish within 600 s")
-    if errors:
-        if isinstance(errors[0], DivergenceError):
-            raise RunFailure(result.records, result.state.epoch, errors[0]) from errors[0]
-        raise errors[0]
-    if result.state.epoch < cfg.total_epochs:
-        raise RuntimeError(
-            f"workers stopped at epoch {result.state.epoch} of {cfg.total_epochs}"
-        )
-    return result
+    server.bind()
+    for w in range(cfg.n_workers):
+        server.attach_worker(w)
+    return server.wait()
 
 
 def _dispatch(spec: RunSpec, cfg: ExperimentConfig) -> RunResult:
@@ -520,11 +488,11 @@ def cmd_serve(args) -> int:
         print(f"refusing to write into existing directory {args.out!r}", file=sys.stderr)
         return 2
     server = TransportServer(spec.cfg, host=host, port=port)
-    bound_host, bound_port = server.start()
+    bound_host, bound_port = server.bind()
     print(f"listening {bound_host} {bound_port}", flush=True)
     try:
         result = server.wait(timeout=args.timeout)
-    except TimeoutError as exc:
+    except (TimeoutError, ConnectionError) as exc:
         print(exc, file=sys.stderr)
         return 1
     write_metrics_csv(result.records, os.path.join(args.out, "metrics.csv"), spec.resolved)

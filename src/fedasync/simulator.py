@@ -5,7 +5,7 @@ modes and the baselines): evaluation schedule, trajectory, divergence
 handling and the :class:`RunResult`. Each runner supplies only its
 scheduler, the generator that decides which worker trains next and
 commits its update. The TCP server takes the same :class:`RunLoop`
-step from its connection handlers.
+step from its selector loop.
 
 Two modes share all of the numeric machinery and differ only in how
 staleness arises:
@@ -234,7 +234,7 @@ def make_record(problem: Problem, state: ServerState, sim_time: float) -> Metric
 
 class RunLoop:
     """The run loop's step, taken after each committed update by
-    :func:`drive` and by the TCP server's connection handlers. It
+    :func:`drive` and by the TCP server's selector loop. It
     evaluates the model at epoch 0, after every ``cfg.eval_every`` epochs
     and at the last epoch, ``epochs`` (default ``cfg.total_epochs``); with
     ``record_trajectory`` it keeps a copy of the model after every update."""

@@ -1,4 +1,4 @@
-"""TCP wire protocol and process-level server/worker loops.
+"""TCP wire protocol, the server's selector loop and the worker loop.
 
 Frame layout: a 4-byte big-endian length covering everything after the
 length field, a 1-byte tag, then the message's fields in order. Integers
@@ -9,25 +9,34 @@ once; :func:`encode` and every decode path read it. This layout is
 normative: tests pin exact byte sequences.
 
 Write-behind: each end keeps a per-connection :class:`_Buffer`. Frames
-written to it leave together, in one ``sendall``, just before that end's
-next socket read or the server's next gate wait would block; neither end
-blocks holding unsent output, and the server never sends holding its
-lock. With the worker's PullRequest sent ahead, an update costs one send
-each way: Push and PullRequest, then PushAck, Trigger and PullResponse.
+written to it leave together, just before that end next waits on its
+peer: the worker in one ``sendall`` before its next blocking read, the
+server in one non-blocking ``send`` per connection before its loop
+waits on the selector again; what the kernel does not take then goes
+when the socket is writable. With the worker's PullRequest sent ahead,
+an update costs one send each way: Push and PullRequest, then PushAck,
+Trigger and PullResponse.
 
-The connection handler that reads a push applies it and takes the run
-loop's step (:class:`fedasync.simulator.RunLoop`) under the server lock,
-so the model has one writer at a time, as in the in-process modes.
+The server (:class:`TransportServer`) is one selector loop on one
+thread. It applies each push and takes the run loop's step
+(:class:`fedasync.simulator.RunLoop`) as it reads the push, so the model
+has one writer, as in the in-process modes, and needs no lock. The
+worker's protocol is one sans-IO state machine, driven by the blocking
+:func:`worker_loop` or, for an in-process run, by the server's own loop.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import selectors
 import socket
 import struct
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -37,17 +46,17 @@ from fedasync.server import ProtocolError, ServerState, StaleUpdateError, apply_
 from fedasync.simulator import (
     ExperimentConfig,
     Problem,
+    RunFailure,
     RunLoop,
     RunResult,
     build_problem,
     make_record,  # not called here; bench/tracing.py patches it in every runner module
 )
-from fedasync.worker import LocalUpdate, local_train
+from fedasync.worker import DivergenceError, LocalUpdate, local_train
 
 log = logging.getLogger("fedasync.transport")
 
 MAX_FRAME_BYTES = 256 * 1024 * 1024  # guard against absurd declared lengths
-_CUT_GRACE_S = 5.0  # teardown: time for cut connections to exit
 _RECV_BYTES = 1 << 16  # what one buffered read asks the socket for
 
 _LEN = struct.Struct(">I")
@@ -251,13 +260,45 @@ class _Buffer:
         self.outbox += encode(msg)
 
     def flush(self, sock: socket.socket) -> None:
+        """Send the outbox whole, blocking until it is gone."""
         if self.outbox:
             sock.sendall(self.outbox)
             self.outbox.clear()
 
+    def send(self, sock: socket.socket) -> None:
+        """Send what of the outbox the kernel takes now; the rest stays."""
+        try:
+            sent = sock.send(self.outbox)
+        except BlockingIOError:
+            return
+        del self.outbox[:sent]
+
+    def fill(self, sock: socket.socket, want: int = _RECV_BYTES) -> bool:
+        """Receive once into the inbox; False at a clean EOF. A
+        non-blocking socket with nothing to read counts as no EOF."""
+        try:
+            chunk = sock.recv(want)
+        except BlockingIOError:
+            return True
+        if not chunk:
+            if self.inbox:
+                raise FrameError(f"connection closed mid-frame ({len(self.inbox)} bytes read)")
+            return False
+        self.inbox += chunk
+        return True
+
+    def next(self) -> Message | None:
+        """Take the first whole frame from the inbox, or None."""
+        out = decode_frame(self.inbox)
+        if out is None:
+            return None
+        msg, used = out
+        del self.inbox[:used]
+        return msg
+
 
 def read_message(sock: socket.socket, buf: _Buffer | None = None) -> Message | None:
-    """Read one framed message from a socket; None on clean EOF.
+    """Read one framed message from a blocking socket; None on clean EOF.
 
     With ``buf``, this end's buffer, it takes the next frame from the
     inbox; only when no whole frame is there does it flush ``buf``, then
@@ -267,19 +308,13 @@ def read_message(sock: socket.socket, buf: _Buffer | None = None) -> Message | N
     own = buf is None
     buf = _Buffer() if own else buf
     inbox = buf.inbox
-    while (out := decode_frame(inbox)) is None:
+    while (msg := buf.next()) is None:
         buf.flush(sock)
         want = _RECV_BYTES
         if own:  # no further than this frame's end
             want = (4 if len(inbox) < 4 else 4 + _frame_length(inbox, MAX_FRAME_BYTES)) - len(inbox)
-        chunk = sock.recv(want)
-        if not chunk:
-            if inbox:
-                raise FrameError(f"connection closed mid-frame ({len(inbox)} bytes read)")
+        if not buf.fill(sock, want):
             return None
-        inbox += chunk
-    msg, used = out
-    del inbox[:used]
     return msg
 
 
@@ -296,24 +331,144 @@ def _no_delay(sock: socket.socket) -> socket.socket:
     return sock
 
 
-def _cut(sock: socket.socket) -> None:
-    """Shut a socket down both ways, waking any thread blocked on it."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
+class _WorkerSession:
+    """One device's side of the protocol, without I/O: :meth:`receive`
+    takes each message read from the server (None at EOF) and returns the
+    frames to send back.
+
+    Each PullRequest goes out ahead of its Trigger: first in
+    :meth:`opening`, then with each Push. The device trains on its own
+    shard of the shared problem and draws from the same per-worker stream
+    as the in-process modes, so a loopback run is numerically
+    interchangeable with a simulated one.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, worker_id: int, problem: Problem):
+        if not 0 <= worker_id < cfg.n_workers:
+            raise ValueError(f"worker_id {worker_id} out of range for {cfg.n_workers} workers")
+        self.cfg, self.worker_id, self.problem = cfg, worker_id, problem
+        self.shard = problem.shards[worker_id]
+        self.stream = worker_rng(cfg.seed, worker_id)
+        self.pushes = self.accepted = 0
+        self.expect: type = Trigger
+        self.done = False
+
+    def opening(self) -> tuple[Message, ...]:
+        return (PullRequest(worker_id=self.worker_id),)
+
+    def receive(self, msg: Message | None) -> tuple[Message, ...]:
+        if self.expect is Trigger and (msg is None or isinstance(msg, Shutdown)):
+            self.done = True
+            return ()
+        if not isinstance(msg, self.expect):
+            raise FrameError(f"expected {self.expect.__name__}, got {type(msg).__name__}")
+        if isinstance(msg, Trigger):
+            self.expect = PullResponse
+            return ()
+        if isinstance(msg, PullResponse):
+            upd = local_train(  # looked up here, where tests and the tracer patch it
+                self.problem.objective,
+                self.shard,
+                msg.params,
+                msg.epoch,
+                self.cfg.worker,
+                self.stream,
+                worker_id=self.worker_id,
+            )
+            self.expect = PushAck
+            return (
+                Push(self.worker_id, upd.tau, upd.local_iters, upd.params),
+                PullRequest(worker_id=self.worker_id),
+            )
+        self.pushes += 1
+        self.accepted += int(msg.accepted)
+        self.expect = Trigger
+        return ()
+
+
+def worker_loop(
+    address: tuple[str, int],
+    cfg: ExperimentConfig,
+    worker_id: int,
+    problem: Problem | None = None,
+    socket_timeout: float = 120.0,
+) -> tuple[int, int]:
+    """Serve one device over a blocking socket: cycle Trigger → pull →
+    train → push (see :class:`_WorkerSession`) until Shutdown. Returns
+    (pushes sent, pushes accepted)."""
+    if problem is None:
+        problem = build_problem(cfg)
+    session = _WorkerSession(cfg, worker_id, problem)
+    buf = _Buffer()
+    for msg in session.opening():
+        buf.put(msg)
+    with _no_delay(socket.create_connection(address, timeout=socket_timeout)) as sock:
+        while not session.done:
+            for msg in session.receive(read_message(sock, buf)):
+                buf.put(msg)
+    return session.pushes, session.accepted
+
+
+class _LocalWorker:
+    """An in-process worker's end of its loopback connection, driven by
+    the server's selector loop instead of a thread of its own."""
+
+    def __init__(self, session: _WorkerSession, address: tuple[str, int]):
+        self.session, self.buf = session, _Buffer()
+        for msg in session.opening():
+            self.buf.put(msg)
+        self.sock = _no_delay(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+        self.sock.setblocking(False)
+        self.sock.connect_ex(address)  # a refusal surfaces at the first send or recv
+        self.events = 0  # the selector events registered for sock
+
+    def on_event(self, mask: int) -> None:
+        if mask & selectors.EVENT_WRITE:
+            self.buf.send(self.sock)
+        if mask & selectors.EVENT_READ:
+            eof = not self.buf.fill(self.sock)
+            while not self.session.done and (msg := self.buf.next()) is not None:
+                for reply in self.session.receive(msg):
+                    self.buf.put(reply)
+            if eof and not self.session.done:
+                self.session.receive(None)
+
+
+# The phases of a server connection. A connection waits for a slot at the
+# dispatch gate, then for the PullRequest and the Push of its task; after
+# the run it sends Shutdown and reads to EOF.
+_SLOT, _PULL, _PUSH, _CLOSING, _CLOSED = "slot", "pull", "push", "closing", "closed"
+
+
+class _Conn:
+    """The server's end of one worker connection."""
+
+    def __init__(self, sock: socket.socket, addr):
+        self.sock, self.addr = sock, addr
+        self.buf = _Buffer()
+        self.phase = _SLOT
+        self.worker_id: int | None = None  # bound at the first PullRequest
+        self.task: int | None = None  # trigger epoch of the task in flight
+        self.deadline: float | None = None  # while the server waits on the peer
+        self.half_closed = False
+        self.events = 0  # the selector events registered for sock
+        self.on_event = None  # the selector callback, set by the server
 
 
 class TransportServer:
     """Accepts worker connections and runs the protocol to T epochs.
 
-    One thread per connection exchanges Trigger / PullRequest /
-    PullResponse / Push / PushAck in lock step, writing behind (see the
-    module docstring), for a worker that sends its PullRequest ahead and
-    for one that waits for the Trigger alike. A connection is bound to
-    the worker id of its first PullRequest; ids out of range or held by
-    another live connection are refused, and a Push that names another
-    worker or fewer than one local step is a protocol error.
+    One selector loop serves the listener and every connection, on
+    non-blocking sockets; it never blocks on one peer. Each connection
+    exchanges Trigger / PullRequest / PullResponse / Push / PushAck in
+    lock step, writing behind (see the module docstring), for a worker
+    that sends its PullRequest ahead and for one that waits for the
+    Trigger alike. A connection is bound to the worker id of its first
+    PullRequest; ids out of range or held by another live connection are
+    refused, and a Push that names another worker or fewer than one local
+    step is a protocol error. A connection's faults, EOF, or silence for
+    ``socket_timeout`` seconds while the server waits on it drop that
+    connection alone and return its task slot.
 
     Dispatch is gated so that an honest push is never stale: a Trigger
     goes out only when nothing is in flight, or when
@@ -324,12 +479,21 @@ class TransportServer:
     current epoch the gate is the ``K + 1`` cap on concurrent tasks.
     Otherwise it is stricter: the server waits on the oldest task in
     flight, so a slow worker holds the others back (as in stale
-    synchronous parallel) instead of having its late push rejected.
+    synchronous parallel) instead of having its late push rejected. After
+    each commit the gate is checked for the connections waiting for a
+    slot, in accept order.
 
     The PullResponse snapshot is taken when the PullRequest is read.
     When the epoch counter reaches ``total_epochs`` every connection
     receives Shutdown; the server then half-closes and reads to EOF, so
     that an unanswered PullRequest does not turn the close into a reset.
+
+    ``bind``, then ``wait``, runs the loop in the caller's thread, for
+    workers in other processes (``fedasync serve``); an in-process run
+    calls ``attach_worker`` for each worker in between, and ``wait``
+    drives those workers inside the loop. ``start`` runs the loop on one
+    background thread instead, for a caller that runs its workers on
+    threads of its own, as the tests do.
     """
 
     def __init__(
@@ -346,180 +510,319 @@ class TransportServer:
         self._run = RunLoop(cfg, self.problem, self.state)
         self.socket_timeout = socket_timeout
         self._host, self._port = host, port
-        self._lock = threading.Lock()
-        self._slots = threading.Condition(self._lock)
         self._in_flight: list[int] = []  # trigger epochs of the tasks in flight
         self._bound: set[int] = set()  # worker ids held by live connections
+        self._seen: set[int] = set()  # worker ids ever bound
         self._done = False
-        self._done_event = threading.Event()
+        self._conns: list[_Conn] = []  # in accept order
+        self._locals: list[_LocalWorker] = []
+        self._ready: deque[_Conn] = deque()  # granted with frames already in the inbox
         self._listener: socket.socket | None = None
-        self._handlers: list[tuple[threading.Thread, socket.socket]] = []
-        self._accept_thread: threading.Thread | None = None
+        self._selector: selectors.BaseSelector | None = None
+        self._thread: threading.Thread | None = None
+        self._wake: tuple[int, int] | None = None  # pipe that interrupts the background loop
+        self._abort = False
+        self._outcome: tuple[bool, Exception | None] = (False, None)  # set by the background loop
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> tuple[str, int]:
-        """Bind, begin accepting, and return the actual (host, port)."""
+    def bind(self) -> tuple[str, int]:
+        """Bind and listen; return the actual (host, port)."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen()
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self._host, self._port))
+            # room for every in-process worker to connect before the loop runs
+            listener.listen(max(128, self.cfg.n_workers))
+        except OSError:
+            listener.close()
+            raise
+        listener.setblocking(False)
         self._listener = listener
         self._host, self._port = listener.getsockname()
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, selectors.EVENT_READ, self._accept)
         return self._host, self._port
 
-    def stop(self) -> None:
-        """End the run early: no further Triggers, and ``wait`` returns."""
-        with self._slots:
-            self._done = True
-            self._slots.notify_all()
-        self._done_event.set()
+    def attach_worker(self, worker_id: int) -> None:
+        """Connect an in-process worker; ``wait`` drives it in the loop."""
+        assert self._listener is not None and self._thread is None
+        session = _WorkerSession(self.cfg, worker_id, self.problem)
+        self._locals.append(_LocalWorker(session, (self._host, self._port)))
+
+    def start(self) -> tuple[str, int]:
+        """Bind, run the loop on a background thread, and return the actual
+        (host, port). For a caller whose workers run on its own threads;
+        ``fedasync serve`` and in-process runs use ``bind`` and ``wait``."""
+        address = self.bind()
+        self._wake = os.pipe()
+        self._selector.register(self._wake[0], selectors.EVENT_READ, self._on_wake)
+        self._thread = threading.Thread(target=self._background, daemon=True)
+        self._thread.start()
+        return address
 
     def wait(self, timeout: float | None = None) -> RunResult:
-        """Block until T epochs are applied (or ``stop``), tear down, report.
+        """Run or await the loop until T epochs are applied and every
+        connection has closed, then report.
 
-        When it returns, every thread the server started has ended. On
-        timeout the run is stopped and torn down before TimeoutError is
-        raised.
+        Raises ConnectionError at once if, before T epochs, every worker id
+        has been bound and no connection is left open. On timeout every
+        connection is cut before TimeoutError is raised. Either way every
+        socket is closed, and no thread the server started is left.
         """
-        if not self._done_event.wait(timeout):
-            self.stop()
-            self._teardown(grace=0.0)
+        if self._thread is None:
+            deadline = None if timeout is None else time.monotonic() + timeout
+            finished = self._loop(deadline)
+        else:
+            assert self._wake is not None
+            self._thread.join(timeout)
+            if self._thread.is_alive():
+                self._abort = True
+                os.write(self._wake[1], b"\0")
+                self._thread.join()
+            for fd in self._wake:
+                os.close(fd)
+            finished, error = self._outcome
+            if error is not None:
+                raise error
+        if not finished:
             raise TimeoutError(f"run did not finish within {timeout} s")
-        self._teardown(grace=self.socket_timeout)
         return self._run.result()
 
-    def _teardown(self, grace: float) -> None:
-        """Join every server thread under one deadline. Connections get
-        ``grace`` seconds to finish their task and take their Shutdown;
-        those still open then are cut."""
-        assert self._listener is not None
-        assert self._accept_thread is not None
-        now = time.monotonic()
-        cut_at, deadline = now + grace, now + grace + _CUT_GRACE_S
+    def _background(self) -> None:
+        try:
+            self._outcome = (self._loop(None), None)
+        except Exception as exc:  # handed to wait(), which raises it
+            self._outcome = (False, exc)
 
-        def until(t: float) -> float:
-            return max(0.0, t - time.monotonic())
+    def _on_wake(self, mask: int) -> None:
+        assert self._wake is not None
+        os.read(self._wake[0], 64)
 
-        _cut(self._listener)  # close() alone does not wake accept() on Linux
-        self._listener.close()
-        self._accept_thread.join(until(deadline))
-        for t, _ in self._handlers:
-            t.join(until(cut_at))
-        for t, conn in self._handlers:
-            if t.is_alive():
-                _cut(conn)
-        for t, _ in self._handlers:
-            t.join(until(deadline))
+    # -- the loop ----------------------------------------------------------
 
-    # -- threads -----------------------------------------------------------
+    def _loop(self, deadline: float | None) -> bool:
+        """Serve until the run is over and every connection has closed
+        (True), or until ``deadline`` or an abort (False). Every socket is
+        closed on the way out, also when an in-process worker raises; its
+        divergence becomes a RunFailure carrying the rows so far."""
+        assert self._selector is not None
+        try:
+            while True:
+                now = time.monotonic()
+                for conn in [c for c in self._conns if c.deadline is not None]:
+                    if now >= conn.deadline:
+                        self._close(conn, TimeoutError("timed out"))
+                self._drain()
+                self._flush(now)
+                if self._done and not self._conns and not self._locals:
+                    return True
+                if self._abort or (deadline is not None and now >= deadline):
+                    return False
+                if not self._done and len(self._seen) == self.cfg.n_workers and not self._conns:
+                    raise ConnectionError(
+                        f"every worker disconnected at epoch {self.state.epoch} "
+                        f"of {self.cfg.total_epochs}"
+                    )
+                due = [c.deadline for c in self._conns if c.deadline is not None]
+                if deadline is not None:
+                    due.append(deadline)
+                wait_s = max(0.0, min(due) - now) if due else None
+                if self._ready:  # a drop in _flush handed a slot on; no event will come for it
+                    wait_s = 0.0
+                for key, mask in self._selector.select(wait_s):
+                    key.data(mask)
+                    self._drain()
+        except DivergenceError as exc:
+            raise RunFailure(self._run.records, self.state.epoch, exc) from exc
+        finally:
+            self._teardown()
 
-    def _accept_loop(self):
-        assert self._listener is not None
-        while True:
+    def _drain(self) -> None:
+        """Act on the frames already read by connections granted a slot:
+        a worker's PullRequest arrives with its Push, so its peer sends
+        nothing more and no event comes for it."""
+        while self._ready:
+            self._advance(self._ready.popleft())
+
+    def _teardown(self) -> None:
+        for conn in self._conns:
+            conn.sock.close()
+        for peer in self._locals:
+            peer.sock.close()
+        self._conns, self._locals = [], []
+        if self._listener is not None:
+            self._listener.close()
+        if self._selector is not None:
+            self._selector.close()
+
+    def _watch(self, peer: _Conn | _LocalWorker, events: int) -> None:
+        """Register ``events`` (0: none) for ``peer``'s socket."""
+        assert self._selector is not None
+        if events != peer.events:
+            if not peer.events:
+                self._selector.register(peer.sock, events, peer.on_event)
+            elif not events:
+                self._selector.unregister(peer.sock)
+            else:
+                self._selector.modify(peer.sock, events, peer.on_event)
+            peer.events = events
+
+    def _flush(self, now: float) -> None:
+        """Send what each outbox holds, as far as the kernel takes it, and
+        register the events each connection waits for."""
+        for peer in list(self._locals):
+            if peer.session.done:
+                self._watch(peer, 0)
+                peer.sock.close()
+                self._locals.remove(peer)
+                continue
+            if peer.buf.outbox:
+                peer.buf.send(peer.sock)
+            write = selectors.EVENT_WRITE if peer.buf.outbox else 0
+            self._watch(peer, selectors.EVENT_READ | write)
+        for conn in list(self._conns):
             try:
-                conn, addr = self._listener.accept()
-            except OSError:
-                return  # listener shut down during teardown
-            _no_delay(conn).settimeout(self.socket_timeout)
-            t = threading.Thread(target=self._handle, args=(conn, addr), daemon=True)
-            self._handlers.append((t, conn))
-            t.start()
+                if conn.buf.outbox:
+                    conn.buf.send(conn.sock)
+                if conn.phase == _CLOSING and not conn.buf.outbox and not conn.half_closed:
+                    conn.sock.shutdown(socket.SHUT_WR)
+                    conn.half_closed = True
+            except OSError as exc:
+                self._close(conn, exc)
+                continue
+            read = 0 if conn.phase == _SLOT else selectors.EVENT_READ
+            write = selectors.EVENT_WRITE if conn.buf.outbox else 0
+            if not read | write:
+                conn.deadline = None
+            elif conn.deadline is None:
+                conn.deadline = now + self.socket_timeout
+            self._watch(conn, read | write)
+
+    def _accept(self, mask: int) -> None:
+        assert self._listener is not None
+        try:
+            sock, addr = self._listener.accept()
+        except (BlockingIOError, ConnectionAbortedError):
+            return
+        sock.setblocking(False)
+        conn = _Conn(_no_delay(sock), addr)
+        conn.on_event = partial(self._on_conn, conn)
+        self._conns.append(conn)
+        self._grant()
+
+    def _on_conn(self, conn: _Conn, mask: int) -> None:
+        if conn.phase == _CLOSED:
+            return
+        conn.deadline = None  # any progress restarts the wait on the peer
+        try:
+            if mask & selectors.EVENT_WRITE:
+                conn.buf.send(conn.sock)
+            if mask & selectors.EVENT_READ and conn.phase != _SLOT:
+                if not conn.buf.fill(conn.sock):
+                    raise EOFError
+        except (EOFError, OSError, FrameError) as exc:
+            self._close(conn, exc)
+            return
+        self._advance(conn)
+
+    def _advance(self, conn: _Conn) -> None:
+        """Act on the frames in the inbox that the connection's phase expects."""
+        try:
+            while conn.phase in (_PULL, _PUSH) and (msg := conn.buf.next()) is not None:
+                if conn.phase == _PULL:
+                    self._on_pull(conn, msg)
+                else:
+                    self._on_push(conn, msg)
+        except (FrameError, ProtocolError) as exc:
+            self._close(conn, exc)
+            return
+        if conn.phase == _CLOSING:
+            conn.buf.inbox.clear()  # read to EOF and dropped
 
     def _may_trigger(self) -> bool:
-        """The dispatch gate (see the class docstring); lock held."""
+        """The dispatch gate (see the class docstring)."""
         flight = self._in_flight
         return not flight or (
             self.state.epoch - min(flight) + len(flight) <= self.cfg.server.max_staleness
         )
 
-    def _bind(self, worker_id: int) -> int:
-        with self._lock:
-            if not 0 <= worker_id < self.cfg.n_workers:
+    def _grant(self) -> None:
+        """Give the connections waiting for a slot, in accept order, what
+        the gate lets through: a Trigger, or once the run is over, Shutdown."""
+        for conn in self._conns:
+            if conn.phase != _SLOT:
+                continue
+            if self._done:
+                conn.phase = _CLOSING
+                conn.buf.put(Shutdown())
+                continue
+            if not self._may_trigger():
+                return
+            conn.task = self.state.epoch
+            self._in_flight.append(conn.task)
+            conn.buf.put(Trigger(epoch=conn.task))
+            conn.phase = _PULL
+            if conn.buf.inbox:
+                self._ready.append(conn)
+
+    def _on_pull(self, conn: _Conn, pull: Message) -> None:
+        if not isinstance(pull, PullRequest):
+            raise FrameError(f"expected PullRequest, got {type(pull).__name__}")
+        if conn.worker_id is None:
+            if not 0 <= pull.worker_id < self.cfg.n_workers:
                 raise ProtocolError(
-                    f"worker id {worker_id} out of range for {self.cfg.n_workers} workers"
+                    f"worker id {pull.worker_id} out of range for {self.cfg.n_workers} workers"
                 )
-            if worker_id in self._bound:
-                raise ProtocolError(f"worker id {worker_id} is held by another connection")
-            self._bound.add(worker_id)
-        return worker_id
+            if pull.worker_id in self._bound:
+                raise ProtocolError(f"worker id {pull.worker_id} is held by another connection")
+            conn.worker_id = pull.worker_id
+            self._bound.add(conn.worker_id)
+            self._seen.add(conn.worker_id)
+        elif pull.worker_id != conn.worker_id:
+            raise ProtocolError(
+                f"PullRequest names worker {pull.worker_id} on a "
+                f"connection bound to worker {conn.worker_id}"
+            )
+        snap_epoch, snap_params = self.state.pull()
+        conn.buf.put(PullResponse(epoch=snap_epoch, params=snap_params))
+        conn.phase = _PUSH
 
-    def _claim(self, conn: socket.socket, buf: _Buffer) -> int | None:
-        """Take a task slot at the dispatch gate: its trigger epoch, or None
-        once the run is over. ``buf`` is flushed, unlocked, before any wait."""
-        while True:
-            with self._slots:
-                if not buf.outbox:
-                    while not self._done and not self._may_trigger():
-                        self._slots.wait()
-                if self._done:
-                    return None
-                if self._may_trigger():
-                    self._in_flight.append(self.state.epoch)
-                    return self.state.epoch
-            buf.flush(conn)
+    def _on_push(self, conn: _Conn, push: Message) -> None:
+        if not isinstance(push, Push):
+            raise FrameError(f"expected Push, got {type(push).__name__}")
+        assert conn.worker_id is not None and conn.task is not None
+        accepted = self._commit(push, conn.worker_id)
+        self._in_flight.remove(conn.task)
+        conn.task = None
+        conn.buf.put(PushAck(accepted=accepted, current_epoch=self.state.epoch))
+        conn.phase = _SLOT
+        self._grant()
 
-    def _expect(self, conn: socket.socket, buf: _Buffer, kind: type):
-        msg = read_message(conn, buf)
-        if msg is None:
-            raise EOFError
-        if not isinstance(msg, kind):
-            raise FrameError(f"expected {kind.__name__}, got {type(msg).__name__}")
-        return msg
-
-    def _handle(self, conn: socket.socket, addr):
-        worker_id: int | None = None  # bound at the first PullRequest
-        task: int | None = None  # trigger epoch of this connection's task in flight
-        buf = _Buffer()
-        try:
-            with conn:
-                while (task := self._claim(conn, buf)) is not None:
-                    buf.put(Trigger(epoch=task))
-                    pull = self._expect(conn, buf, PullRequest)
-                    if worker_id is None:
-                        worker_id = self._bind(pull.worker_id)
-                    elif pull.worker_id != worker_id:
-                        raise ProtocolError(
-                            f"PullRequest names worker {pull.worker_id} on a "
-                            f"connection bound to worker {worker_id}"
-                        )
-                    with self._lock:
-                        snap_epoch, snap_params = self.state.pull()
-                    buf.put(PullResponse(epoch=snap_epoch, params=snap_params))
-                    push = self._expect(conn, buf, Push)
-                    with self._slots:
-                        accepted = self._commit(push, worker_id)
-                        self._in_flight.remove(task)
-                        task = None
-                        self._slots.notify_all()
-                        ack = PushAck(accepted=accepted, current_epoch=self.state.epoch)
-                    buf.put(ack)
-                try:
-                    buf.put(Shutdown())
-                    buf.flush(conn)
-                    conn.shutdown(socket.SHUT_WR)
-                    while conn.recv(_RECV_BYTES):  # to EOF, so the close is a FIN
-                        pass
-                except OSError:
-                    pass
-        except EOFError:
-            log.info("worker %s at %s disconnected", worker_id, addr)
-        except (OSError, FrameError, ProtocolError) as exc:
-            # mid-task drops abandon the task; its slot goes back below
-            log.warning("connection %s dropped: %s", addr, exc)
-        finally:
-            with self._slots:
-                if task is not None:
-                    self._in_flight.remove(task)
-                    self._slots.notify_all()
-                if worker_id is not None:
-                    self._bound.discard(worker_id)
+    def _close(self, conn: _Conn, exc: BaseException) -> None:
+        """Close a connection and return its slot; a fault before the run's
+        end is logged."""
+        if conn.phase == _CLOSED:
+            return
+        if conn.phase != _CLOSING:
+            if isinstance(exc, EOFError):
+                log.info("worker %s at %s disconnected", conn.worker_id, conn.addr)
+            else:
+                # mid-task drops abandon the task; its slot goes back below
+                log.warning("connection %s dropped: %s", conn.addr, exc)
+        if conn.task is not None:
+            self._in_flight.remove(conn.task)
+        if conn.worker_id is not None:
+            self._bound.discard(conn.worker_id)
+        conn.phase = _CLOSED
+        self._watch(conn, 0)
+        conn.sock.close()
+        self._conns.remove(conn)
+        self._grant()
 
     def _commit(self, push: Push, worker_id: int) -> bool:
-        """Apply one push and take the run loop's step; lock held. False
-        if refused. The push that reaches ``total_epochs`` ends the run."""
+        """Apply one push and take the run loop's step. False if refused.
+        The push that reaches ``total_epochs`` ends the run."""
         if self._done:
             return False
         try:
@@ -544,59 +847,4 @@ class TransportServer:
         self._run.step(0.0)
         if self.state.epoch >= self.cfg.total_epochs:
             self._done = True
-            self._done_event.set()
         return True
-
-
-def worker_loop(
-    address: tuple[str, int],
-    cfg: ExperimentConfig,
-    worker_id: int,
-    problem: Problem | None = None,
-    socket_timeout: float = 120.0,
-) -> tuple[int, int]:
-    """Serve one device: cycle Trigger → pull → train → push until Shutdown.
-
-    Each PullRequest goes out ahead of its Trigger: on connect, then with
-    each Push. The worker rebuilds the same problem from the shared
-    config, trains on its own shard, and draws from the same per-worker
-    stream as the in-process modes, so a loopback run is numerically
-    interchangeable with a simulated one. Returns (pushes sent, pushes
-    accepted).
-    """
-    if problem is None:
-        problem = build_problem(cfg)
-    if not 0 <= worker_id < cfg.n_workers:
-        raise ValueError(f"worker_id {worker_id} out of range for {cfg.n_workers} workers")
-    shard = problem.shards[worker_id]
-    stream = worker_rng(cfg.seed, worker_id)
-    pushes = accepted = 0
-    buf = _Buffer()
-    buf.put(PullRequest(worker_id=worker_id))
-    with _no_delay(socket.create_connection(address, timeout=socket_timeout)) as sock:
-        while True:
-            msg = read_message(sock, buf)
-            if msg is None or isinstance(msg, Shutdown):
-                break
-            if not isinstance(msg, Trigger):
-                raise FrameError(f"expected Trigger, got {type(msg).__name__}")
-            resp = read_message(sock, buf)
-            if not isinstance(resp, PullResponse):
-                raise FrameError(f"expected PullResponse, got {type(resp).__name__}")
-            upd = local_train(
-                problem.objective,
-                shard,
-                resp.params,
-                resp.epoch,
-                cfg.worker,
-                stream,
-                worker_id=worker_id,
-            )
-            buf.put(Push(worker_id, upd.tau, upd.local_iters, upd.params))
-            buf.put(PullRequest(worker_id=worker_id))
-            ack = read_message(sock, buf)
-            if not isinstance(ack, PushAck):
-                raise FrameError(f"expected PushAck, got {type(ack).__name__}")
-            pushes += 1
-            accepted += int(ack.accepted)
-    return pushes, accepted

@@ -1,6 +1,7 @@
 """End-to-end tests for the experiment command line."""
 
 import re
+import socket
 import subprocess
 import sys
 from dataclasses import replace
@@ -537,6 +538,36 @@ class TestServeWorkerCommands:
         np.testing.assert_array_equal(load_params(out / "final_params.txt"),
                                       sim.final_params)
         assert (out / "metrics.csv").exists()
+
+    def test_serve_exits_when_every_worker_is_gone(self, tmp_path):
+        # the worker completes one task and vanishes: serve reports the
+        # epoch reached and exits 1 without waiting out --timeout
+        from fedasync.transport import PullRequest, Push, encode, read_message
+
+        out = tmp_path / "served"
+        srv = subprocess.Popen(
+            [sys.executable, "-m", "fedasync", "serve", "--bind", "127.0.0.1:0",
+             "--out", str(out), "--timeout", "60", "task=quadratic", "n_workers=1",
+             "total_epochs=8", "max_staleness=0", "n_samples=80", "dim=5"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            _, host, port = srv.stdout.readline().split()
+            with socket.create_connection((host, int(port)), timeout=30) as sock:
+                sock.sendall(encode(PullRequest(worker_id=0)))
+                read_message(sock)  # Trigger
+                resp = read_message(sock)
+                sock.sendall(encode(Push(0, resp.epoch, 1, resp.params)))
+                assert read_message(sock).accepted
+            _, err = srv.communicate(timeout=30)
+        except BaseException:
+            srv.kill()
+            raise
+        assert srv.returncode == 1
+        assert "every worker disconnected at epoch 1 of 8" in err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["serve", "worker"])
     @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """Wire-format and socket-loop tests for the process deployment mode."""
 
+import gc
 import logging
 import re
 import socket
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -363,16 +365,22 @@ class TestOneSendPerExchange:
         assert server.wait(timeout=30).state.epoch == 1
 
     def test_one_worker_run_makes_one_send_per_update_each_way(self, monkeypatch):
+        # the worker sends with sendall, the server's loop with send
         epochs = 20
         sends = {"server": 0, "worker": 0}
-        original = socket.socket.sendall
 
-        def spy(sock, *args, **kwargs):
-            side = "server" if sock.getsockname()[1] == server._port else "worker"
-            sends[side] += 1
-            return original(sock, *args, **kwargs)
+        def spy_on(name):
+            original = getattr(socket.socket, name)
 
-        monkeypatch.setattr(socket.socket, "sendall", spy)
+            def spy(sock, *args, **kwargs):
+                side = "server" if sock.getsockname()[1] == server._port else "worker"
+                sends[side] += 1
+                return original(sock, *args, **kwargs)
+
+            monkeypatch.setattr(socket.socket, name, spy)
+
+        spy_on("send")
+        spy_on("sendall")
         cfg = _cfg(total_epochs=epochs)
         server = TransportServer(cfg)
         _start_workers(server, cfg, 1)
@@ -382,22 +390,22 @@ class TestOneSendPerExchange:
 
 class TestNoDelay:
     def test_both_ends_set_tcp_nodelay(self, monkeypatch):
-        # every read on either end records the socket's TCP_NODELAY flag
+        # every read on either end records the socket's TCP_NODELAY flag;
+        # the server's end is the one whose local port is the server's
         seen = {}
-        original = transport.read_message
+        original = socket.socket.recv
 
         def spy(sock, *args, **kwargs):
-            local, peer = sock.getsockname(), sock.getpeername()
-            seen[(local, peer)] = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            seen[sock.getsockname()] = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
             return original(sock, *args, **kwargs)
 
-        monkeypatch.setattr(transport, "read_message", spy)
+        monkeypatch.setattr(socket.socket, "recv", spy)
         cfg = _cfg(total_epochs=3)
         server = TransportServer(cfg)
         _start_workers(server, cfg, 1)
         port = server._port
-        server_side = [flag for (local, _), flag in seen.items() if local[1] == port]
-        worker_side = [flag for (_, peer), flag in seen.items() if peer[1] == port]
+        server_side = [flag for local, flag in seen.items() if local[1] == port]
+        worker_side = [flag for local, flag in seen.items() if local[1] != port]
         assert server_side and worker_side
         assert all(server_side) and all(worker_side)
 
@@ -477,6 +485,25 @@ class TestTeardown:
         assert result.state.epoch == 1
         assert [t for t in threading.enumerate() if t not in before] == []
 
+    def test_silent_peer_drop_hands_its_slot_on(self):
+        # the honest worker's push leaves it held at the gate behind the
+        # silent peer's task, its PullRequest already read with the push;
+        # the silent peer's drop must serve that PullRequest at once
+        cfg = _cfg(n_workers=2, total_epochs=2, server=ServerConfig(alpha=0.6, max_staleness=1))
+        server = TransportServer(cfg, socket_timeout=1.0)
+        host, port = server.start()
+        with socket.create_connection((host, port), timeout=30) as silent:
+            assert isinstance(read_message(silent), Trigger)
+            send_message(silent, PullRequest(worker_id=0))
+            assert isinstance(read_message(silent), PullResponse)
+            t0 = time.perf_counter()
+            loop = worker_loop((host, port), cfg, 1, problem=server.problem, socket_timeout=30)
+            result = server.wait(timeout=60)
+            assert time.perf_counter() - t0 < 10.0
+            assert read_message(silent) is None
+        assert loop == (2, 2)
+        assert result.state.epoch == 2
+
     def test_timeout_cuts_connections_at_once(self):
         cfg = _cfg(total_epochs=2)
         server = TransportServer(cfg)
@@ -498,6 +525,77 @@ class TestTeardown:
         for seed in range(1, 6):
             _run_net(replace(cfg, seed=seed))
         assert threading.active_count() == count
+
+
+class TestOneLoop:
+    def test_in_process_run_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = _cfg(n_workers=2, total_epochs=10, server=ServerConfig(alpha=0.6, max_staleness=1))
+        assert _run_net(cfg).state.epoch == 10
+
+    def test_start_runs_the_loop_on_one_thread(self):
+        before = set(threading.enumerate())
+        cfg = _cfg(total_epochs=2)
+        server = TransportServer(cfg)
+        host, port = server.start()
+        started = [t for t in threading.enumerate() if t not in before]
+        assert len(started) == 1
+        assert worker_loop((host, port), cfg, 0, problem=server.problem) == (2, 2)
+        server.wait(timeout=30)
+        assert not started[0].is_alive()
+
+    def test_a_peer_that_stops_reading_does_not_stall_the_others(self):
+        # the stalled peer's PullResponse, 5.6 MB, is more than its receive
+        # buffer and the server's send buffer (at most 4 MiB by default on
+        # Linux) can hold; K leaves the other worker ungated
+        cfg = _cfg(
+            task="mlp",
+            n_workers=2,
+            total_epochs=3,
+            server=ServerConfig(alpha=0.6, max_staleness=10),
+            worker=WorkerConfig(gamma=0.1, h_min=1, h_max=1, batch_size=4),
+            n_samples=40,
+            dim=1000,
+            hidden=700,
+        )
+        server = TransportServer(cfg, socket_timeout=60.0)
+        host, port = server.start()
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as stalled:
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1)
+            stalled.settimeout(30)
+            stalled.connect((host, port))
+            stalled.sendall(encode(PullRequest(worker_id=0)))
+            # wait, without reading, until the PullResponse has begun to arrive
+            trigger_bytes = len(encode(Trigger(epoch=0)))
+            while len(stalled.recv(1 << 16, socket.MSG_PEEK)) <= trigger_bytes:
+                time.sleep(0.01)
+            t0 = time.perf_counter()
+            assert worker_loop((host, port), cfg, 1, problem=server.problem) == (3, 3)
+            assert time.perf_counter() - t0 < 10.0
+        assert server.wait(timeout=30).state.epoch == 3
+
+    def test_no_socket_is_left_unclosed(self):
+        unraisable = []
+        hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                cfg = _cfg(
+                    n_workers=2, total_epochs=5, server=ServerConfig(alpha=0.6, max_staleness=1)
+                )
+                _run_net(cfg)
+                cfg = _cfg(total_epochs=5)
+                server = TransportServer(cfg)
+                host, port = server.start()
+                worker_loop((host, port), cfg, 0, problem=server.problem)
+                server.wait(timeout=30)
+                gc.collect()
+        finally:
+            sys.unraisablehook = hook
+        assert [u.exc_value for u in unraisable] == []
 
 
 def _raw_task(sock, worker_id=0):
@@ -585,6 +683,21 @@ class TestDisconnects:
         messages = [r.getMessage() for r in caplog.records]
         assert any("worker 0" in m and "disconnected" in m for m in messages)
         assert not any("NoneType" in m for m in messages)
+
+    def test_wait_ends_at_once_when_every_worker_is_gone(self):
+        cfg = _cfg(total_epochs=5)
+        server = TransportServer(cfg)
+        host, port = server.start()
+        with socket.create_connection((host, port), timeout=30) as sock:
+            resp = _raw_task(sock, worker_id=0)
+            send_message(
+                sock, Push(worker_id=0, tau=resp.epoch, local_iters=1, params=resp.params)
+            )
+            assert read_message(sock) == PushAck(accepted=True, current_epoch=1)
+        t0 = time.perf_counter()
+        with pytest.raises(ConnectionError, match="at epoch 1 of 5"):
+            server.wait(timeout=10)
+        assert time.perf_counter() - t0 < 5.0
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
