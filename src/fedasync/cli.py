@@ -512,7 +512,11 @@ def cmd_worker(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    pushes, accepted = worker_loop((host, port), spec.cfg, args.worker_id)
+    try:
+        pushes, accepted = worker_loop((host, port), spec.cfg, args.worker_id)
+    except ConnectionRefusedError as exc:
+        print(f"cannot connect to {host}:{port}: {exc}", file=sys.stderr)
+        return 1
     print(f"worker {args.worker_id}: {pushes} pushes, {accepted} accepted")
     return 0
 

@@ -27,14 +27,12 @@ worker's protocol is one sans-IO state machine, driven by the blocking
 
 from __future__ import annotations
 
+import errno
 import logging
-import os
 import selectors
 import socket
 import struct
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -56,7 +54,7 @@ from fedasync.worker import DivergenceError, LocalUpdate, local_train
 
 log = logging.getLogger("fedasync.transport")
 
-MAX_FRAME_BYTES = 256 * 1024 * 1024  # guard against absurd declared lengths
+MAX_FRAME_BYTES = 256 * 1024 * 1024  # decode's default cap; each _Buffer derives its run's own
 _RECV_BYTES = 1 << 16  # what one buffered read asks the socket for
 
 _LEN = struct.Struct(">I")
@@ -72,7 +70,7 @@ class UnknownTagError(FrameError):
 
 
 class OversizeFrameError(FrameError):
-    """Declared frame length exceeds the configured maximum."""
+    """Declared frame length exceeds the cap."""
 
 
 @dataclass(frozen=True)
@@ -210,16 +208,6 @@ def _decode_body(body: memoryview) -> Message:
     return cls(*values)
 
 
-def _frame_length(header, max_frame: int) -> int:
-    """The length a frame header declares, refused outside 1..max_frame."""
-    (length,) = _LEN.unpack_from(header)
-    if length > max_frame:
-        raise OversizeFrameError(f"declared length {length} exceeds cap {max_frame}")
-    if length < 1:
-        raise FrameError("declared length 0 leaves no room for a tag")
-    return length
-
-
 def decode_frame(
     buf: bytes | bytearray | memoryview, max_frame: int = MAX_FRAME_BYTES
 ) -> tuple[Message, int] | None:
@@ -232,7 +220,11 @@ def decode_frame(
     view = memoryview(buf)
     if len(view) < 4:
         return None
-    length = _frame_length(view, max_frame)
+    (length,) = _LEN.unpack_from(view)
+    if length > max_frame:
+        raise OversizeFrameError(f"declared length {length} exceeds cap {max_frame}")
+    if length < 1:
+        raise FrameError("declared length 0 leaves no room for a tag")
     if len(view) < 4 + length:
         return None
     return _decode_body(view[4 : 4 + length]), 4 + length
@@ -251,10 +243,15 @@ def decode(data: bytes) -> Message:
 
 class _Buffer:
     """One end's per-connection buffer: bytes received but not yet
-    decoded, and frames written behind but not yet sent."""
+    decoded, and frames written behind but not yet sent. A header that
+    declares more than the longest legal frame on a run whose parameter
+    vectors have ``dim`` elements (a Push) is refused when it is read,
+    before its body is waited for."""
 
-    def __init__(self):
+    def __init__(self, dim: int):
         self.inbox, self.outbox = bytearray(), bytearray()
+        rows = _LAYOUT.values()
+        self.max_frame = max(1 + r.fixed.size + r.vector * (_CNT.size + 8 * dim) for r in rows)
 
     def put(self, msg: Message) -> None:
         self.outbox += encode(msg)
@@ -273,11 +270,11 @@ class _Buffer:
             return
         del self.outbox[:sent]
 
-    def fill(self, sock: socket.socket, want: int = _RECV_BYTES) -> bool:
+    def fill(self, sock: socket.socket) -> bool:
         """Receive once into the inbox; False at a clean EOF. A
         non-blocking socket with nothing to read counts as no EOF."""
         try:
-            chunk = sock.recv(want)
+            chunk = sock.recv(_RECV_BYTES)
         except BlockingIOError:
             return True
         if not chunk:
@@ -289,37 +286,30 @@ class _Buffer:
 
     def next(self) -> Message | None:
         """Take the first whole frame from the inbox, or None."""
-        out = decode_frame(self.inbox)
+        out = decode_frame(self.inbox, self.max_frame)
         if out is None:
             return None
         msg, used = out
         del self.inbox[:used]
         return msg
 
+    def ready(self) -> bool:
+        """Whether :meth:`next` has a frame to take or a header to refuse."""
+        if len(self.inbox) < 4:
+            return False
+        (length,) = _LEN.unpack_from(self.inbox)
+        return length > self.max_frame or len(self.inbox) >= 4 + length
 
-def read_message(sock: socket.socket, buf: _Buffer | None = None) -> Message | None:
-    """Read one framed message from a blocking socket; None on clean EOF.
 
-    With ``buf``, this end's buffer, it takes the next frame from the
-    inbox; only when no whole frame is there does it flush ``buf``, then
-    ``recv`` what has arrived. Without it, it reads exactly one frame and
-    nothing past it.
-    """
-    own = buf is None
-    buf = _Buffer() if own else buf
-    inbox = buf.inbox
+def read_message(sock: socket.socket, buf: _Buffer) -> Message | None:
+    """The next message from ``buf``, this end's buffer on a blocking
+    socket: only while no whole frame is there does it flush ``buf``, then
+    ``recv`` what has arrived. None on clean EOF."""
     while (msg := buf.next()) is None:
         buf.flush(sock)
-        want = _RECV_BYTES
-        if own:  # no further than this frame's end
-            want = (4 if len(inbox) < 4 else 4 + _frame_length(inbox, MAX_FRAME_BYTES)) - len(inbox)
-        if not buf.fill(sock, want):
+        if not buf.fill(sock):
             return None
     return msg
-
-
-def send_message(sock: socket.socket, msg: Message) -> None:
-    sock.sendall(encode(msg))
 
 
 def _no_delay(sock: socket.socket) -> socket.socket:
@@ -336,11 +326,11 @@ class _WorkerSession:
     takes each message read from the server (None at EOF) and returns the
     frames to send back.
 
-    Each PullRequest goes out ahead of its Trigger: first in
-    :meth:`opening`, then with each Push. The device trains on its own
-    shard of the shared problem and draws from the same per-worker stream
-    as the in-process modes, so a loopback run is numerically
-    interchangeable with a simulated one.
+    Each PullRequest goes out ahead of its Trigger: first on connect,
+    then with each Push. The device trains on its own shard of the
+    shared problem and draws from the same per-worker stream as the
+    in-process modes, so a loopback run is numerically interchangeable
+    with a simulated one.
     """
 
     def __init__(self, cfg: ExperimentConfig, worker_id: int, problem: Problem):
@@ -352,9 +342,6 @@ class _WorkerSession:
         self.pushes = self.accepted = 0
         self.expect: type = Trigger
         self.done = False
-
-    def opening(self) -> tuple[Message, ...]:
-        return (PullRequest(worker_id=self.worker_id),)
 
     def receive(self, msg: Message | None) -> tuple[Message, ...]:
         if self.expect is Trigger and (msg is None or isinstance(msg, Shutdown)):
@@ -399,9 +386,8 @@ def worker_loop(
     if problem is None:
         problem = build_problem(cfg)
     session = _WorkerSession(cfg, worker_id, problem)
-    buf = _Buffer()
-    for msg in session.opening():
-        buf.put(msg)
+    buf = _Buffer(problem.x0.size)
+    buf.put(PullRequest(worker_id=worker_id))
     with _no_delay(socket.create_connection(address, timeout=socket_timeout)) as sock:
         while not session.done:
             for msg in session.receive(read_message(sock, buf)):
@@ -414,9 +400,8 @@ class _LocalWorker:
     the server's selector loop instead of a thread of its own."""
 
     def __init__(self, session: _WorkerSession, address: tuple[str, int]):
-        self.session, self.buf = session, _Buffer()
-        for msg in session.opening():
-            self.buf.put(msg)
+        self.session, self.buf = session, _Buffer(session.problem.x0.size)
+        self.buf.put(PullRequest(worker_id=session.worker_id))
         self.sock = _no_delay(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
         self.sock.setblocking(False)
         self.sock.connect_ex(address)  # a refusal surfaces at the first send or recv
@@ -443,9 +428,9 @@ _SLOT, _PULL, _PUSH, _CLOSING, _CLOSED = "slot", "pull", "push", "closing", "clo
 class _Conn:
     """The server's end of one worker connection."""
 
-    def __init__(self, sock: socket.socket, addr):
+    def __init__(self, sock: socket.socket, addr, dim: int):
         self.sock, self.addr = sock, addr
-        self.buf = _Buffer()
+        self.buf = _Buffer(dim)
         self.phase = _SLOT
         self.worker_id: int | None = None  # bound at the first PullRequest
         self.task: int | None = None  # trigger epoch of the task in flight
@@ -488,12 +473,14 @@ class TransportServer:
     receives Shutdown; the server then half-closes and reads to EOF, so
     that an unanswered PullRequest does not turn the close into a reset.
 
+    A frame longer than the largest legal one at the run's dimension is
+    refused at its header. When the process runs out of file descriptors
+    the server stops accepting until a connection closes.
+
     ``bind``, then ``wait``, runs the loop in the caller's thread, for
     workers in other processes (``fedasync serve``); an in-process run
     calls ``attach_worker`` for each worker in between, and ``wait``
-    drives those workers inside the loop. ``start`` runs the loop on one
-    background thread instead, for a caller that runs its workers on
-    threads of its own, as the tests do.
+    drives those workers inside the loop.
     """
 
     def __init__(
@@ -516,13 +503,9 @@ class TransportServer:
         self._done = False
         self._conns: list[_Conn] = []  # in accept order
         self._locals: list[_LocalWorker] = []
-        self._ready: deque[_Conn] = deque()  # granted with frames already in the inbox
         self._listener: socket.socket | None = None
         self._selector: selectors.BaseSelector | None = None
-        self._thread: threading.Thread | None = None
-        self._wake: tuple[int, int] | None = None  # pipe that interrupts the background loop
-        self._abort = False
-        self._outcome: tuple[bool, Exception | None] = (False, None)  # set by the background loop
+        self._paused = False  # the listener is unwatched until a descriptor is freed
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -546,64 +529,29 @@ class TransportServer:
 
     def attach_worker(self, worker_id: int) -> None:
         """Connect an in-process worker; ``wait`` drives it in the loop."""
-        assert self._listener is not None and self._thread is None
+        assert self._listener is not None
         session = _WorkerSession(self.cfg, worker_id, self.problem)
         self._locals.append(_LocalWorker(session, (self._host, self._port)))
 
-    def start(self) -> tuple[str, int]:
-        """Bind, run the loop on a background thread, and return the actual
-        (host, port). For a caller whose workers run on its own threads;
-        ``fedasync serve`` and in-process runs use ``bind`` and ``wait``."""
-        address = self.bind()
-        self._wake = os.pipe()
-        self._selector.register(self._wake[0], selectors.EVENT_READ, self._on_wake)
-        self._thread = threading.Thread(target=self._background, daemon=True)
-        self._thread.start()
-        return address
-
     def wait(self, timeout: float | None = None) -> RunResult:
-        """Run or await the loop until T epochs are applied and every
-        connection has closed, then report.
+        """Run the loop until T epochs are applied and every connection
+        has closed, then report.
 
         Raises ConnectionError at once if, before T epochs, every worker id
         has been bound and no connection is left open. On timeout every
         connection is cut before TimeoutError is raised. Either way every
-        socket is closed, and no thread the server started is left.
+        socket is closed.
         """
-        if self._thread is None:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            finished = self._loop(deadline)
-        else:
-            assert self._wake is not None
-            self._thread.join(timeout)
-            if self._thread.is_alive():
-                self._abort = True
-                os.write(self._wake[1], b"\0")
-                self._thread.join()
-            for fd in self._wake:
-                os.close(fd)
-            finished, error = self._outcome
-            if error is not None:
-                raise error
-        if not finished:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if not self._loop(deadline):
             raise TimeoutError(f"run did not finish within {timeout} s")
         return self._run.result()
-
-    def _background(self) -> None:
-        try:
-            self._outcome = (self._loop(None), None)
-        except Exception as exc:  # handed to wait(), which raises it
-            self._outcome = (False, exc)
-
-    def _on_wake(self, mask: int) -> None:
-        assert self._wake is not None
-        os.read(self._wake[0], 64)
 
     # -- the loop ----------------------------------------------------------
 
     def _loop(self, deadline: float | None) -> bool:
         """Serve until the run is over and every connection has closed
-        (True), or until ``deadline`` or an abort (False). Every socket is
+        (True), or until ``deadline`` (False). Every socket is
         closed on the way out, also when an in-process worker raises; its
         divergence becomes a RunFailure carrying the rows so far."""
         assert self._selector is not None
@@ -613,11 +561,12 @@ class TransportServer:
                 for conn in [c for c in self._conns if c.deadline is not None]:
                     if now >= conn.deadline:
                         self._close(conn, TimeoutError("timed out"))
-                self._drain()
+                for conn in self._pending():
+                    self._advance(conn)
                 self._flush(now)
                 if self._done and not self._conns and not self._locals:
                     return True
-                if self._abort or (deadline is not None and now >= deadline):
+                if deadline is not None and now >= deadline:
                     return False
                 if not self._done and len(self._seen) == self.cfg.n_workers and not self._conns:
                     raise ConnectionError(
@@ -628,22 +577,20 @@ class TransportServer:
                 if deadline is not None:
                     due.append(deadline)
                 wait_s = max(0.0, min(due) - now) if due else None
-                if self._ready:  # a drop in _flush handed a slot on; no event will come for it
+                if self._pending():  # a drop in _flush handed a slot on; no event will come for it
                     wait_s = 0.0
                 for key, mask in self._selector.select(wait_s):
                     key.data(mask)
-                    self._drain()
         except DivergenceError as exc:
             raise RunFailure(self._run.records, self.state.epoch, exc) from exc
         finally:
             self._teardown()
 
-    def _drain(self) -> None:
-        """Act on the frames already read by connections granted a slot:
-        a worker's PullRequest arrives with its Push, so its peer sends
-        nothing more and no event comes for it."""
-        while self._ready:
-            self._advance(self._ready.popleft())
+    def _pending(self) -> list[_Conn]:
+        """The connections, in accept order, in their pull or push phase
+        with a whole frame in the inbox: a worker's PullRequest arrives with
+        its Push, so one granted a slot may hold it, and no event comes."""
+        return [c for c in self._conns if c.phase in (_PULL, _PUSH) and c.buf.ready()]
 
     def _teardown(self) -> None:
         for conn in self._conns:
@@ -673,8 +620,7 @@ class TransportServer:
         register the events each connection waits for."""
         for peer in list(self._locals):
             if peer.session.done:
-                self._watch(peer, 0)
-                peer.sock.close()
+                self._release(peer)
                 self._locals.remove(peer)
                 continue
             if peer.buf.outbox:
@@ -705,8 +651,16 @@ class TransportServer:
             sock, addr = self._listener.accept()
         except (BlockingIOError, ConnectionAbortedError):
             return
+        except OSError as exc:
+            if exc.errno not in (errno.EMFILE, errno.ENFILE):
+                raise
+            # the selector is level-triggered: left watched, the listener would spin
+            log.warning("cannot accept (%s); waiting for a connection to close", exc)
+            self._selector.unregister(self._listener)
+            self._paused = True
+            return
         sock.setblocking(False)
-        conn = _Conn(_no_delay(sock), addr)
+        conn = _Conn(_no_delay(sock), addr, self.problem.x0.size)
         conn.on_event = partial(self._on_conn, conn)
         self._conns.append(conn)
         self._grant()
@@ -763,8 +717,6 @@ class TransportServer:
             self._in_flight.append(conn.task)
             conn.buf.put(Trigger(epoch=conn.task))
             conn.phase = _PULL
-            if conn.buf.inbox:
-                self._ready.append(conn)
 
     def _on_pull(self, conn: _Conn, pull: Message) -> None:
         if not isinstance(pull, PullRequest):
@@ -815,10 +767,18 @@ class TransportServer:
         if conn.worker_id is not None:
             self._bound.discard(conn.worker_id)
         conn.phase = _CLOSED
-        self._watch(conn, 0)
-        conn.sock.close()
+        self._release(conn)
         self._conns.remove(conn)
         self._grant()
+
+    def _release(self, peer: _Conn | _LocalWorker) -> None:
+        """Close ``peer``'s socket; the descriptor freed lets a paused
+        listener be watched again."""
+        self._watch(peer, 0)
+        peer.sock.close()
+        if self._paused:
+            self._selector.register(self._listener, selectors.EVENT_READ, self._accept)
+            self._paused = False
 
     def _commit(self, push: Push, worker_id: int) -> bool:
         """Apply one push and take the run loop's step. False if refused.

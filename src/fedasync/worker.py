@@ -118,8 +118,7 @@ def local_train(
     if cfg.batch_size is None:
         batches = [(shard.features, shard.targets)] * steps
     else:
-        drawn = sample_minibatch(shard, cfg.batch_size, rng, steps=steps)
-        batches = list(zip(drawn.features, drawn.targets))
+        batches = list(zip(*sample_minibatch(shard, cfg.batch_size, rng, steps)))
     x = _descend(objective, anchor, batches, cfg, checked=False)
     # Exact without per-step checks: a non-finite gradient makes the
     # iterate non-finite in the same step (x -= gamma * g, and 0 * inf

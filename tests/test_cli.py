@@ -1,9 +1,11 @@
 """End-to-end tests for the experiment command line."""
 
 import re
+import resource
 import socket
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedasync.transport as transport
 from fedasync.baselines import FedAvgConfig
 from fedasync.cli import (
     KEYS,
@@ -542,7 +545,7 @@ class TestServeWorkerCommands:
     def test_serve_exits_when_every_worker_is_gone(self, tmp_path):
         # the worker completes one task and vanishes: serve reports the
         # epoch reached and exits 1 without waiting out --timeout
-        from fedasync.transport import PullRequest, Push, encode, read_message
+        from fedasync.transport import PullRequest, Push, _Buffer, encode, read_message
 
         out = tmp_path / "served"
         srv = subprocess.Popen(
@@ -556,11 +559,12 @@ class TestServeWorkerCommands:
         try:
             _, host, port = srv.stdout.readline().split()
             with socket.create_connection((host, int(port)), timeout=30) as sock:
+                buf = _Buffer(5)  # dim=5
                 sock.sendall(encode(PullRequest(worker_id=0)))
-                read_message(sock)  # Trigger
-                resp = read_message(sock)
+                read_message(sock, buf)  # Trigger
+                resp = read_message(sock, buf)
                 sock.sendall(encode(Push(0, resp.epoch, 1, resp.params)))
-                assert read_message(sock).accepted
+                assert read_message(sock, buf).accepted
             _, err = srv.communicate(timeout=30)
         except BaseException:
             srv.kill()
@@ -596,3 +600,70 @@ class TestServeWorkerCommands:
         assert main(["serve", "-c", str(path), "--out", str(out), "--timeout", "0.5"]) == 2
         assert "algorithm: serve runs fedasync-net" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_serve_survives_running_out_of_file_descriptors(self, tmp_path, monkeypatch):
+        # serve runs with a soft RLIMIT_NOFILE of 32, and 48 idle
+        # connections arrive while the worker holds the one task slot
+        overrides = ["task=quadratic", "n_workers=1", "total_epochs=5", "max_staleness=0",
+                     "n_samples=80", "dim=5"]
+        cfg = parse_config(None, ["algorithm=fedasync-net"] + overrides).cfg
+        pulled, go = threading.Event(), threading.Event()
+        train = transport.local_train
+
+        def held_until_go(*args, **kwargs):
+            pulled.set()
+            assert go.wait(timeout=30)
+            return train(*args, **kwargs)
+
+        def lower_fd_limit():  # in the child only
+            _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (32, hard))
+
+        monkeypatch.setattr(transport, "local_train", held_until_go)
+        out = tmp_path / "served"
+        srv = subprocess.Popen(
+            [sys.executable, "-m", "fedasync", "serve", "--bind", "127.0.0.1:0",
+             "--out", str(out), "--timeout", "60"] + overrides,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=lower_fd_limit,
+        )
+        idle, loop = [], {}
+        try:
+            _, host, port = srv.stdout.readline().split()
+            address = (host, int(port))
+            worker = threading.Thread(
+                target=lambda: loop.update(result=transport.worker_loop(address, cfg, 0))
+            )
+            worker.start()
+            assert pulled.wait(timeout=30)
+            idle = [socket.create_connection(address, timeout=30) for _ in range(48)]
+            assert "cannot accept" in srv.stderr.readline()
+            go.set()
+            worker.join(timeout=30)
+            for sock in idle:
+                sock.close()
+            rest, _ = srv.communicate(timeout=30)
+        except BaseException:
+            srv.kill()
+            srv.communicate()
+            raise
+        finally:
+            go.set()
+            for sock in idle:
+                sock.close()
+        assert loop["result"] == (5, 5)
+        assert srv.returncode == 0
+        assert "served 5 epochs" in rest
+
+    def test_worker_reports_a_refused_connection_in_one_line(self, capsys):
+        with socket.socket() as probe:  # a port that was bound, then closed
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        argv = ["worker", "--connect", f"127.0.0.1:{port}", "--worker-id", "0",
+                "task=quadratic", "n_samples=80", "dim=5"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"127.0.0.1:{port}" in err and "refused" in err

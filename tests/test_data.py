@@ -188,42 +188,44 @@ class TestSampleMinibatch:
         ds = gen_regression(5, 2, 0.0, seed=0)
         shard = partition_non_iid(ds, 5, 0, seed=0)[0]
         assert len(shard) == 1
-        batch = sample_minibatch(shard, 1, np.random.default_rng(0))
-        np.testing.assert_array_equal(batch.features, shard.features)
-        np.testing.assert_array_equal(batch.targets, shard.targets)
+        features, targets = sample_minibatch(shard, 1, np.random.default_rng(0), steps=1)
+        np.testing.assert_array_equal(features[0], shard.features)
+        np.testing.assert_array_equal(targets[0], shard.targets)
 
     def test_same_stream_state_same_batch(self):
         ds = gen_regression(50, 3, 0.1, seed=1)
         shard = partition_non_iid(ds, 2, 0, seed=1)[0]
-        a = sample_minibatch(shard, 8, np.random.default_rng(42))
-        b = sample_minibatch(shard, 8, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.features, b.features)
+        a, _ = sample_minibatch(shard, 8, np.random.default_rng(42), steps=1)
+        b, _ = sample_minibatch(shard, 8, np.random.default_rng(42), steps=1)
+        np.testing.assert_array_equal(a[0], b[0])
 
     def test_batch_rows_come_from_the_shard(self):
         ds = gen_regression(50, 3, 0.1, seed=1)
         shard = partition_non_iid(ds, 2, 0, seed=1)[1]
-        batch = sample_minibatch(shard, 16, np.random.default_rng(7))
+        features, _ = sample_minibatch(shard, 16, np.random.default_rng(7), steps=1)
         pool = {tuple(row) for row in shard.features}
-        for row in batch.features:
+        for row in features[0]:
             assert tuple(row) in pool
 
     def test_single_generator_call(self):
-        # one batch advances the stream exactly as one integers() call
+        # one batch draws and advances the stream exactly as one
+        # integers(size=batch_size) call, the documented draw law
         ds = gen_regression(50, 3, 0.1, seed=1)
         shard = partition_non_iid(ds, 2, 0, seed=1)[0]
         rng_a = np.random.default_rng(5)
-        sample_minibatch(shard, 8, rng_a)
+        features, _ = sample_minibatch(shard, 8, rng_a, steps=1)
         after_a = rng_a.standard_normal(4)
         rng_b = np.random.default_rng(5)
-        rng_b.integers(0, len(shard), size=8)
+        idx = rng_b.integers(0, len(shard), size=8)
         after_b = rng_b.standard_normal(4)
+        np.testing.assert_array_equal(features[0], shard.features[idx])
         np.testing.assert_array_equal(after_a, after_b)
 
     def test_invalid_batch_size_rejected(self):
         ds = gen_regression(10, 2, 0.1, seed=0)
         shard = partition_non_iid(ds, 1, 0, seed=0)[0]
         with pytest.raises(ValueError, match="batch_size"):
-            sample_minibatch(shard, 0, np.random.default_rng(0))
+            sample_minibatch(shard, 0, np.random.default_rng(0), steps=1)
 
 
 class TestTrainEvalSplit:

@@ -4,6 +4,7 @@ import gc
 import logging
 import re
 import socket
+import struct
 import sys
 import threading
 import time
@@ -33,7 +34,6 @@ from fedasync.transport import (
     decode_frame,
     encode,
     read_message,
-    send_message,
     worker_loop,
 )
 from fedasync.worker import DivergenceError, WorkerConfig
@@ -228,21 +228,78 @@ class TestFrameStream:
         assert decode_frame(buf[used:]) is None
 
 
+def _serve(server, timeout=60.0):
+    """Bind ``server`` and run ``wait(timeout)`` on a thread the test owns.
+
+    Returns the address and ``finish``, which joins that thread and
+    returns what ``wait`` returned, or raises what it raised.
+    """
+    address = server.bind()
+    out = {}
+
+    def run():
+        try:
+            out["result"] = server.wait(timeout)
+        except Exception as exc:  # raised again by finish()
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+
+    def finish():
+        thread.join(timeout + 30)
+        assert not thread.is_alive()
+        if "error" in out:
+            raise out["error"]
+        return out["result"]
+
+    return address, finish
+
+
+class _Client:
+    """A raw client: one socket and one ``_Buffer`` for the socket's life,
+    on a run with ``dim`` parameters."""
+
+    def __init__(self, address, timeout=30, dim=5):
+        self.sock = socket.create_connection(address, timeout=timeout)
+        self.buf = transport._Buffer(dim)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.sock.close()
+
+    def send(self, *msgs):
+        self.sock.sendall(b"".join(encode(m) for m in msgs))
+
+    def read(self):
+        return read_message(self.sock, self.buf)
+
+    def task(self, worker_id=0):
+        """Take a Trigger and pull as ``worker_id``; returns the PullResponse."""
+        assert isinstance(self.read(), Trigger)
+        self.send(PullRequest(worker_id=worker_id))
+        resp = self.read()
+        assert isinstance(resp, PullResponse)
+        return resp
+
+
 def _start_workers(server, cfg, n):
-    host, port = server.start()
+    address, finish = _serve(server)
     results = [None] * n
     errors = []
 
     def go(w):
         try:
-            results[w] = worker_loop((host, port), cfg, w, problem=server.problem)
+            results[w] = worker_loop(address, cfg, w, problem=server.problem)
         except Exception as exc:  # surfaced in the main thread
             errors.append((w, exc))
 
     threads = [threading.Thread(target=go, args=(w,)) for w in range(n)]
     for t in threads:
         t.start()
-    result = server.wait(timeout=60)
+    result = finish()
     for t in threads:
         t.join(timeout=30)
     assert not errors, f"worker failures: {errors}"
@@ -282,37 +339,19 @@ class TestLoopback:
     def test_push_with_future_tau_is_refused(self):
         cfg = _cfg(total_epochs=1, worker=WorkerConfig(gamma=0.1, h_min=1, h_max=1))
         server = TransportServer(cfg)
-        host, port = server.start()
-        with socket.create_connection((host, port), timeout=30) as sock:
-            msg = read_message(sock)
-            assert isinstance(msg, Trigger)
-            send_message(sock, PullRequest(worker_id=0))
-            resp = read_message(sock)
-            assert isinstance(resp, PullResponse)
-            bad = Push(
-                worker_id=0, tau=resp.epoch + 5, local_iters=1, params=resp.params
-            )
-            send_message(sock, bad)
-            ack = read_message(sock)
-            assert ack == PushAck(accepted=False, current_epoch=0)
+        address, finish = _serve(server)
+        with _Client(address) as client:
+            resp = client.task()
+            bad = Push(worker_id=0, tau=resp.epoch + 5, local_iters=1, params=resp.params)
+            client.send(bad)
+            assert client.read() == PushAck(accepted=False, current_epoch=0)
             # the slot comes back; a well-formed retry completes the run
-            msg = read_message(sock)
-            assert isinstance(msg, Trigger)
-            send_message(sock, PullRequest(worker_id=0))
-            resp = read_message(sock)
-            send_message(
-                sock,
-                Push(
-                    worker_id=0,
-                    tau=resp.epoch,
-                    local_iters=1,
-                    params=resp.params + 0.5,
-                ),
-            )
-            ack = read_message(sock)
+            resp = client.task()
+            client.send(Push(worker_id=0, tau=resp.epoch, local_iters=1, params=resp.params + 0.5))
+            ack = client.read()
             assert ack.accepted and ack.current_epoch == 1
-            assert isinstance(read_message(sock), Shutdown)
-        result = server.wait(timeout=30)
+            assert isinstance(client.read(), Shutdown)
+        result = finish()
         assert result.state.epoch == 1
         assert result.state.n_rejected == 0
 
@@ -321,21 +360,19 @@ class TestLoopback:
         # between pull and push must not wedge the run
         cfg = _cfg(n_workers=2, total_epochs=3)
         server = TransportServer(cfg)
-        host, port = server.start()
-        sock = socket.create_connection((host, port), timeout=30)
-        assert isinstance(read_message(sock), Trigger)
-        send_message(sock, PullRequest(worker_id=0))
-        assert isinstance(read_message(sock), PullResponse)
+        address, finish = _serve(server)
+        client = _Client(address)
+        client.task()
 
         done = {}
 
         def survivor():
-            done["loop"] = worker_loop((host, port), cfg, 1, problem=server.problem)
+            done["loop"] = worker_loop(address, cfg, 1, problem=server.problem)
 
         t = threading.Thread(target=survivor)
         t.start()
-        sock.close()
-        result = server.wait(timeout=60)
+        client.sock.close()
+        result = finish()
         t.join(timeout=30)
         assert result.state.epoch == 3
         assert done["loop"] == (3, 3)
@@ -348,21 +385,21 @@ class TestOneSendPerExchange:
         # the close is a FIN, not a reset
         cfg = _cfg(total_epochs=1, worker=WorkerConfig(gamma=0.1, h_min=1, h_max=1))
         server = TransportServer(cfg)
-        host, port = server.start()
-        with socket.create_connection((host, port), timeout=30) as sock:
-            send_message(sock, PullRequest(worker_id=0))
-            assert isinstance(read_message(sock), Trigger)
-            resp = read_message(sock)
+        address, finish = _serve(server)
+        with _Client(address) as client:
+            client.send(PullRequest(worker_id=0))
+            assert isinstance(client.read(), Trigger)
+            resp = client.read()
             assert isinstance(resp, PullResponse)
             push = Push(worker_id=0, tau=resp.epoch, local_iters=1, params=resp.params + 1.0)
-            sock.sendall(encode(push) + encode(PullRequest(worker_id=0)))
-            assert read_message(sock) == PushAck(accepted=True, current_epoch=1)
-            assert isinstance(read_message(sock), Shutdown)
-            assert sock.recv(1) == b""
+            client.send(push, PullRequest(worker_id=0))
+            assert client.read() == PushAck(accepted=True, current_epoch=1)
+            assert isinstance(client.read(), Shutdown)
+            assert client.sock.recv(1) == b""
             for _ in range(2):  # a reset would fail the second send
-                send_message(sock, PullRequest(worker_id=0))
+                client.send(PullRequest(worker_id=0))
                 time.sleep(0.05)
-        assert server.wait(timeout=30).state.epoch == 1
+        assert finish().state.epoch == 1
 
     def test_one_worker_run_makes_one_send_per_update_each_way(self, monkeypatch):
         # the worker sends with sendall, the server's loop with send
@@ -444,13 +481,15 @@ class TestDispatchGate:
 
 class TestTeardown:
     def test_wait_leaves_no_server_thread_alive(self):
+        # the loop runs in the thread that calls wait(); the workers are
+        # the only other threads here
         before = set(threading.enumerate())
         cfg = _cfg(n_workers=2, total_epochs=10, server=ServerConfig(alpha=0.6, max_staleness=1))
         server = TransportServer(cfg)
-        host, port = server.start()
+        address = server.bind()
         workers = [
             threading.Thread(
-                target=worker_loop, args=((host, port), cfg, w), kwargs={"problem": server.problem}
+                target=worker_loop, args=(address, cfg, w), kwargs={"problem": server.problem}
             )
             for w in range(2)
         ]
@@ -471,16 +510,14 @@ class TestTeardown:
         cfg = _cfg(n_workers=2, total_epochs=1, server=ServerConfig(alpha=0.6, max_staleness=1))
         before = set(threading.enumerate())
         server = TransportServer(cfg, socket_timeout=1.0)
-        host, port = server.start()
-        with socket.create_connection((host, port), timeout=30) as silent:
-            assert isinstance(read_message(silent), Trigger)
-            send_message(silent, PullRequest(worker_id=0))
-            assert isinstance(read_message(silent), PullResponse)
-            loop = worker_loop((host, port), cfg, 1, problem=server.problem)
+        address, finish = _serve(server)
+        with _Client(address) as silent:
+            silent.task()
+            loop = worker_loop(address, cfg, 1, problem=server.problem)
             t0 = time.perf_counter()
-            result = server.wait(timeout=60)
+            result = finish()
             assert time.perf_counter() - t0 < 10.0
-            assert read_message(silent) is None
+            assert silent.read() is None
         assert loop == (1, 1)
         assert result.state.epoch == 1
         assert [t for t in threading.enumerate() if t not in before] == []
@@ -491,31 +528,78 @@ class TestTeardown:
         # the silent peer's drop must serve that PullRequest at once
         cfg = _cfg(n_workers=2, total_epochs=2, server=ServerConfig(alpha=0.6, max_staleness=1))
         server = TransportServer(cfg, socket_timeout=1.0)
-        host, port = server.start()
-        with socket.create_connection((host, port), timeout=30) as silent:
-            assert isinstance(read_message(silent), Trigger)
-            send_message(silent, PullRequest(worker_id=0))
-            assert isinstance(read_message(silent), PullResponse)
+        address, finish = _serve(server)
+        with _Client(address) as silent:
+            silent.task()
             t0 = time.perf_counter()
-            loop = worker_loop((host, port), cfg, 1, problem=server.problem, socket_timeout=30)
-            result = server.wait(timeout=60)
+            loop = worker_loop(address, cfg, 1, problem=server.problem, socket_timeout=30)
+            result = finish()
             assert time.perf_counter() - t0 < 10.0
-            assert read_message(silent) is None
+            assert silent.read() is None
         assert loop == (2, 2)
         assert result.state.epoch == 2
+
+    def test_failed_trigger_send_hands_the_slot_on(self, monkeypatch):
+        # K=3, accept order: blocker, reset peer, honest worker, all given
+        # a task at epoch 0. The blocker pushes and takes a task at epoch
+        # 1; the reset peer pushes (epoch 2) and is held at the gate. The
+        # honest push (epoch 3) gives the slot to the reset peer, ahead of
+        # the honest worker. Sending that Trigger fails in the server's
+        # flush, and the slot must pass on to the honest worker, whose
+        # PullRequest came with its push and draws no further event.
+        cfg = _cfg(
+            n_workers=3,
+            total_epochs=4,
+            server=ServerConfig(alpha=0.6, max_staleness=3),
+            worker=WorkerConfig(gamma=0.1, h_min=1, h_max=1),
+        )
+        pulled, go = threading.Event(), threading.Event()
+        train = transport.local_train
+
+        def held_until_go(*args, **kwargs):
+            pulled.set()
+            assert go.wait(timeout=30)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "local_train", held_until_go)
+        server = TransportServer(cfg, socket_timeout=30.0)
+        address, finish = _serve(server)
+        honest = {}
+        with _Client(address) as blocker, _Client(address) as reset:
+            assert blocker.read() == Trigger(epoch=0)
+            assert reset.read() == Trigger(epoch=0)
+            t = threading.Thread(
+                target=lambda: honest.update(loop=worker_loop(address, cfg, 1, problem=server.problem))
+            )
+            t.start()
+            assert pulled.wait(timeout=30)  # the honest worker holds its epoch-0 task
+            for client, worker_id, epoch in ((blocker, 0, 1), (reset, 2, 2)):
+                client.send(PullRequest(worker_id=worker_id))
+                resp = client.read()
+                client.send(Push(worker_id, resp.epoch, 1, resp.params))
+                assert client.read() == PushAck(accepted=True, current_epoch=epoch)
+            assert blocker.read() == Trigger(epoch=1)
+            reset.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            reset.sock.close()  # a reset: the server learns of it when it sends
+            t0 = time.perf_counter()
+            go.set()
+            t.join(timeout=60)
+            assert time.perf_counter() - t0 < 10.0
+        assert honest["loop"] == (2, 2)
+        assert finish().state.epoch == 4
 
     def test_timeout_cuts_connections_at_once(self):
         cfg = _cfg(total_epochs=2)
         server = TransportServer(cfg)
         before = set(threading.enumerate())
-        host, port = server.start()
-        with socket.create_connection((host, port), timeout=30) as silent:
-            _raw_task(silent)
+        address, finish = _serve(server, timeout=1.0)
+        with _Client(address) as silent:
+            silent.task()
             t0 = time.perf_counter()
             with pytest.raises(TimeoutError):
-                server.wait(timeout=0.2)
+                finish()
             assert time.perf_counter() - t0 < 5.0
-            assert read_message(silent) is None
+            assert silent.read() is None
         assert [t for t in threading.enumerate() if t not in before] == []
 
     def test_repeated_net_runs_keep_thread_count_flat(self):
@@ -536,17 +620,6 @@ class TestOneLoop:
         cfg = _cfg(n_workers=2, total_epochs=10, server=ServerConfig(alpha=0.6, max_staleness=1))
         assert _run_net(cfg).state.epoch == 10
 
-    def test_start_runs_the_loop_on_one_thread(self):
-        before = set(threading.enumerate())
-        cfg = _cfg(total_epochs=2)
-        server = TransportServer(cfg)
-        host, port = server.start()
-        started = [t for t in threading.enumerate() if t not in before]
-        assert len(started) == 1
-        assert worker_loop((host, port), cfg, 0, problem=server.problem) == (2, 2)
-        server.wait(timeout=30)
-        assert not started[0].is_alive()
-
     def test_a_peer_that_stops_reading_does_not_stall_the_others(self):
         # the stalled peer's PullResponse, 5.6 MB, is more than its receive
         # buffer and the server's send buffer (at most 4 MiB by default on
@@ -562,20 +635,20 @@ class TestOneLoop:
             hidden=700,
         )
         server = TransportServer(cfg, socket_timeout=60.0)
-        host, port = server.start()
+        address, finish = _serve(server)
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as stalled:
             stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1)
             stalled.settimeout(30)
-            stalled.connect((host, port))
+            stalled.connect(address)
             stalled.sendall(encode(PullRequest(worker_id=0)))
             # wait, without reading, until the PullResponse has begun to arrive
             trigger_bytes = len(encode(Trigger(epoch=0)))
             while len(stalled.recv(1 << 16, socket.MSG_PEEK)) <= trigger_bytes:
                 time.sleep(0.01)
             t0 = time.perf_counter()
-            assert worker_loop((host, port), cfg, 1, problem=server.problem) == (3, 3)
+            assert worker_loop(address, cfg, 1, problem=server.problem) == (3, 3)
             assert time.perf_counter() - t0 < 10.0
-        assert server.wait(timeout=30).state.epoch == 3
+        assert finish().state.epoch == 3
 
     def test_no_socket_is_left_unclosed(self):
         unraisable = []
@@ -589,22 +662,13 @@ class TestOneLoop:
                 _run_net(cfg)
                 cfg = _cfg(total_epochs=5)
                 server = TransportServer(cfg)
-                host, port = server.start()
-                worker_loop((host, port), cfg, 0, problem=server.problem)
-                server.wait(timeout=30)
+                address, finish = _serve(server)
+                worker_loop(address, cfg, 0, problem=server.problem)
+                finish()
                 gc.collect()
         finally:
             sys.unraisablehook = hook
         assert [u.exc_value for u in unraisable] == []
-
-
-def _raw_task(sock, worker_id=0):
-    """Take a Trigger and pull as ``worker_id``; returns the PullResponse."""
-    assert isinstance(read_message(sock), Trigger)
-    send_message(sock, PullRequest(worker_id=worker_id))
-    resp = read_message(sock)
-    assert isinstance(resp, PullResponse)
-    return resp
 
 
 class TestClientFieldValidation:
@@ -612,40 +676,38 @@ class TestClientFieldValidation:
         # a PullRequest claiming id 99 on a 1-worker server loses its connection
         cfg = _cfg(total_epochs=1, worker=WorkerConfig(gamma=0.1, h_min=1, h_max=1))
         server = TransportServer(cfg)
-        host, port = server.start()
-        with socket.create_connection((host, port), timeout=30) as sock:
-            assert isinstance(read_message(sock), Trigger)
-            send_message(sock, PullRequest(worker_id=99))
-            assert read_message(sock) is None
-        assert worker_loop((host, port), cfg, 0, problem=server.problem) == (1, 1)
-        result = server.wait(timeout=30)
+        address, finish = _serve(server)
+        with _Client(address) as client:
+            assert isinstance(client.read(), Trigger)
+            client.send(PullRequest(worker_id=99))
+            assert client.read() is None
+        assert worker_loop(address, cfg, 0, problem=server.problem) == (1, 1)
+        result = finish()
         assert result.state.epoch == 1
         assert result.state.n_gradients == 1
 
     def test_worker_id_held_by_another_connection_is_refused(self):
         cfg = _cfg(n_workers=2, total_epochs=1, server=ServerConfig(alpha=0.6, max_staleness=1))
         server = TransportServer(cfg)
-        host, port = server.start()
-        with socket.create_connection((host, port), timeout=30) as first:
-            resp = _raw_task(first, worker_id=0)
-            with socket.create_connection((host, port), timeout=30) as second:
-                assert isinstance(read_message(second), Trigger)
-                send_message(second, PullRequest(worker_id=0))
-                assert read_message(second) is None
-            send_message(
-                first, Push(worker_id=0, tau=resp.epoch, local_iters=2, params=resp.params)
-            )
-            assert read_message(first) == PushAck(accepted=True, current_epoch=1)
-            assert isinstance(read_message(first), Shutdown)
-        result = server.wait(timeout=30)
+        address, finish = _serve(server)
+        with _Client(address) as first:
+            resp = first.task(worker_id=0)
+            with _Client(address) as second:
+                assert isinstance(second.read(), Trigger)
+                second.send(PullRequest(worker_id=0))
+                assert second.read() is None
+            first.send(Push(worker_id=0, tau=resp.epoch, local_iters=2, params=resp.params))
+            assert first.read() == PushAck(accepted=True, current_epoch=1)
+            assert isinstance(first.read(), Shutdown)
+        result = finish()
         assert result.state.n_gradients == 2
 
     def test_push_with_foreign_worker_id_or_no_steps_leaves_model_untouched(self):
         cfg = _cfg(total_epochs=1, server=ServerConfig(alpha=0.5, max_staleness=0))
         server = TransportServer(cfg)
         x0 = server.problem.x0.copy()
-        host, port = server.start()
-        with socket.create_connection((host, port), timeout=30) as sock:
+        address, finish = _serve(server)
+        with _Client(address) as client:
             bad = [
                 dict(worker_id=12345, local_iters=-50),
                 dict(worker_id=0, local_iters=-50),
@@ -653,33 +715,47 @@ class TestClientFieldValidation:
                 dict(worker_id=12345, local_iters=3),
             ]
             for fields in bad:
-                resp = _raw_task(sock)
+                resp = client.task()
                 np.testing.assert_array_equal(resp.params, x0)
-                send_message(sock, Push(tau=resp.epoch, params=resp.params + 1.0, **fields))
-                assert read_message(sock) == PushAck(accepted=False, current_epoch=0)
-            resp = _raw_task(sock)
-            send_message(
-                sock, Push(worker_id=0, tau=resp.epoch, local_iters=3, params=x0 + 1.0)
-            )
-            assert read_message(sock) == PushAck(accepted=True, current_epoch=1)
-            assert isinstance(read_message(sock), Shutdown)
-        result = server.wait(timeout=30)
+                client.send(Push(tau=resp.epoch, params=resp.params + 1.0, **fields))
+                assert client.read() == PushAck(accepted=False, current_epoch=0)
+            resp = client.task()
+            client.send(Push(worker_id=0, tau=resp.epoch, local_iters=3, params=x0 + 1.0))
+            assert client.read() == PushAck(accepted=True, current_epoch=1)
+            assert isinstance(client.read(), Shutdown)
+        result = finish()
         np.testing.assert_array_equal(result.final_params, x0 + 0.5)
         assert [r.gradients for r in result.records] == [0, 3]
         assert result.state.n_gradients == 3
         assert result.state.n_rejected == 0
+
+    def test_oversize_frame_drops_its_connection_at_the_header(self):
+        # the largest legal frame on a dim-5 run is a 77-byte Push; a header
+        # declaring 10 MiB is refused before its body, and only its
+        # connection is dropped
+        cfg = _cfg(n_workers=2, total_epochs=3)
+        server = TransportServer(cfg, socket_timeout=60.0)
+        address, finish = _serve(server)
+        with _Client(address, timeout=10) as client:
+            client.task(worker_id=0)
+            t0 = time.perf_counter()
+            client.sock.sendall((10 << 20).to_bytes(4, "big") + b"\x04" + bytes(100))
+            assert client.sock.recv(1) == b""
+            assert time.perf_counter() - t0 < 5.0
+        assert worker_loop(address, cfg, 1, problem=server.problem) == (3, 3)
+        assert finish().state.epoch == 3
 
 
 class TestDisconnects:
     def test_clean_close_is_logged_as_disconnect(self, caplog):
         cfg = _cfg(n_workers=2, total_epochs=2)
         server = TransportServer(cfg)
-        host, port = server.start()
         with caplog.at_level(logging.INFO, logger="fedasync.transport"):
-            with socket.create_connection((host, port), timeout=30) as sock:
-                _raw_task(sock, worker_id=0)
-            assert worker_loop((host, port), cfg, 1, problem=server.problem) == (2, 2)
-            server.wait(timeout=30)
+            address, finish = _serve(server)
+            with _Client(address) as client:
+                client.task(worker_id=0)
+            assert worker_loop(address, cfg, 1, problem=server.problem) == (2, 2)
+            finish()
         messages = [r.getMessage() for r in caplog.records]
         assert any("worker 0" in m and "disconnected" in m for m in messages)
         assert not any("NoneType" in m for m in messages)
@@ -687,16 +763,14 @@ class TestDisconnects:
     def test_wait_ends_at_once_when_every_worker_is_gone(self):
         cfg = _cfg(total_epochs=5)
         server = TransportServer(cfg)
-        host, port = server.start()
-        with socket.create_connection((host, port), timeout=30) as sock:
-            resp = _raw_task(sock, worker_id=0)
-            send_message(
-                sock, Push(worker_id=0, tau=resp.epoch, local_iters=1, params=resp.params)
-            )
-            assert read_message(sock) == PushAck(accepted=True, current_epoch=1)
+        address, finish = _serve(server, timeout=10)
+        with _Client(address) as client:
+            resp = client.task(worker_id=0)
+            client.send(Push(worker_id=0, tau=resp.epoch, local_iters=1, params=resp.params))
+            assert client.read() == PushAck(accepted=True, current_epoch=1)
         t0 = time.perf_counter()
         with pytest.raises(ConnectionError, match="at epoch 1 of 5"):
-            server.wait(timeout=10)
+            finish()
         assert time.perf_counter() - t0 < 5.0
 
     @pytest.mark.filterwarnings("ignore:overflow")

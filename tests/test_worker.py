@@ -49,8 +49,8 @@ def _reference(objective, shard, anchor, cfg, rng):
         if cfg.batch_size is None:
             X, y = shard.features, shard.targets
         else:
-            batch = sample_minibatch(shard, cfg.batch_size, rng)
-            X, y = batch.features, batch.targets
+            features, targets = sample_minibatch(shard, cfg.batch_size, rng, steps=1)
+            X, y = features[0], targets[0]
         g = objective.grad(x, X, y)
         if cfg.rho != 0.0:
             g = g + cfg.rho * (x - anchor)
@@ -153,8 +153,8 @@ class TestLocalTrain:
         steps = int(rng.integers(5, 6))
         x = anchor.copy()
         for _ in range(steps):
-            batch = sample_minibatch(shard, 4, rng)
-            g = obj.grad(x, batch.features, batch.targets) + 0.01 * (x - anchor)
+            features, targets = sample_minibatch(shard, 4, rng, steps=1)
+            g = obj.grad(x, features[0], targets[0]) + 0.01 * (x - anchor)
             x = x - 0.1 * g
         np.testing.assert_allclose(upd.params, x, atol=1e-12, rtol=0.0)
 
@@ -324,7 +324,7 @@ class TestFusedTask:
         law = np.random.default_rng(5)
         law.integers(9, 10)
         for _ in range(9):
-            sample_minibatch(shard, 3, law)
+            sample_minibatch(shard, 3, law, steps=1)
         assert rng.bit_generator.state == law.bit_generator.state
 
     def test_full_batch_divergence_reports_the_reference_step(self):
