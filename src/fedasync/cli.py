@@ -53,7 +53,7 @@ from fedasync.simulator import (
     run_fedasync_latency,
     run_fedasync_sampled,
 )
-from fedasync.transport import TransportServer, worker_loop
+from fedasync.transport import FrameError, TransportServer, worker_loop
 from fedasync.worker import WorkerConfig
 
 ALGORITHMS = ("fedasync-sampled", "fedasync-latency", "fedasync-net", "fedavg", "sgd")
@@ -514,8 +514,8 @@ def cmd_worker(args) -> int:
         return 2
     try:
         pushes, accepted = worker_loop((host, port), spec.cfg, args.worker_id)
-    except ConnectionRefusedError as exc:
-        print(f"cannot connect to {host}:{port}: {exc}", file=sys.stderr)
+    except (OSError, FrameError) as exc:  # refused, reset, closed mid-task, or junk
+        print(f"connection to {host}:{port} failed: {exc}", file=sys.stderr)
         return 1
     print(f"worker {args.worker_id}: {pushes} pushes, {accepted} accepted")
     return 0

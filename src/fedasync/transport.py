@@ -17,12 +17,13 @@ when the socket is writable. With the worker's PullRequest sent ahead,
 an update costs one send each way: Push and PullRequest, then PushAck,
 Trigger and PullResponse.
 
-The server (:class:`TransportServer`) is one selector loop on one
-thread. It applies each push and takes the run loop's step
-(:class:`fedasync.simulator.RunLoop`) as it reads the push, so the model
-has one writer, as in the in-process modes, and needs no lock. The
-worker's protocol is one sans-IO state machine, driven by the blocking
-:func:`worker_loop` or, for an in-process run, by the server's own loop.
+Each end's protocol is a sans-IO state machine that writes frames into
+buffers and touches no socket or clock: :class:`_WorkerSession`, driven
+by the blocking :func:`worker_loop` or by the server's loop, and
+:class:`_ServerSession`, which applies each push and takes the run
+loop's step (:class:`fedasync.simulator.RunLoop`) as it reads the push.
+:class:`TransportServer` is the server's I/O: one selector loop on one
+thread that reads every connection, so the model has one writer.
 """
 
 from __future__ import annotations
@@ -293,13 +294,6 @@ class _Buffer:
         del self.inbox[:used]
         return msg
 
-    def ready(self) -> bool:
-        """Whether :meth:`next` has a frame to take or a header to refuse."""
-        if len(self.inbox) < 4:
-            return False
-        (length,) = _LEN.unpack_from(self.inbox)
-        return length > self.max_frame or len(self.inbox) >= 4 + length
-
 
 def read_message(sock: socket.socket, buf: _Buffer) -> Message | None:
     """The next message from ``buf``, this end's buffer on a blocking
@@ -324,7 +318,7 @@ def _no_delay(sock: socket.socket) -> socket.socket:
 class _WorkerSession:
     """One device's side of the protocol, without I/O: :meth:`receive`
     takes each message read from the server (None at EOF) and returns the
-    frames to send back.
+    frames to send back. EOF inside a task raises ConnectionError.
 
     Each PullRequest goes out ahead of its Trigger: first on connect,
     then with each Push. The device trains on its own shard of the
@@ -347,6 +341,8 @@ class _WorkerSession:
         if self.expect is Trigger and (msg is None or isinstance(msg, Shutdown)):
             self.done = True
             return ()
+        if msg is None:
+            raise ConnectionError(f"server closed the connection before {self.expect.__name__}")
         if not isinstance(msg, self.expect):
             raise FrameError(f"expected {self.expect.__name__}, got {type(msg).__name__}")
         if isinstance(msg, Trigger):
@@ -426,13 +422,14 @@ _SLOT, _PULL, _PUSH, _CLOSING, _CLOSED = "slot", "pull", "push", "closing", "clo
 
 
 class _Conn:
-    """The server's end of one worker connection."""
+    """The server's end of one worker connection; the session never uses ``sock``."""
 
-    def __init__(self, sock: socket.socket, addr, dim: int):
+    def __init__(self, sock: socket.socket | None, addr, dim: int):
         self.sock, self.addr = sock, addr
         self.buf = _Buffer(dim)
         self.phase = _SLOT
         self.worker_id: int | None = None  # bound at the first PullRequest
+        self.pulled = False  # a PullRequest came ahead of the Trigger it answers
         self.task: int | None = None  # trigger epoch of the task in flight
         self.deadline: float | None = None  # while the server waits on the peer
         self.half_closed = False
@@ -440,20 +437,19 @@ class _Conn:
         self.on_event = None  # the selector callback, set by the server
 
 
-class TransportServer:
-    """Accepts worker connections and runs the protocol to T epochs.
+class _ServerSession:
+    """The server's side of the protocol, without I/O: :meth:`connect`,
+    :meth:`receive` (one whole frame) and :meth:`drop` write the frames
+    each connection is owed into its ``buf``, and raise FrameError or
+    ProtocolError against the connection at fault.
 
-    One selector loop serves the listener and every connection, on
-    non-blocking sockets; it never blocks on one peer. Each connection
-    exchanges Trigger / PullRequest / PullResponse / Push / PushAck in
-    lock step, writing behind (see the module docstring), for a worker
-    that sends its PullRequest ahead and for one that waits for the
-    Trigger alike. A connection is bound to the worker id of its first
-    PullRequest; ids out of range or held by another live connection are
-    refused, and a Push that names another worker or fewer than one local
-    step is a protocol error. A connection's faults, EOF, or silence for
-    ``socket_timeout`` seconds while the server waits on it drop that
-    connection alone and return its task slot.
+    A connection is bound to the worker id of its first PullRequest; ids
+    out of range or held by another live connection are refused. A Push
+    that names another worker or fewer than one local step is refused
+    in its PushAck. A connection waiting for a slot may send one
+    PullRequest ahead, bound as it arrives; any other frame from it is a
+    fault. The pull is answered, with a snapshot taken then, when both
+    the PullRequest and the Trigger are out.
 
     Dispatch is gated so that an honest push is never stale: a Trigger
     goes out only when nothing is in flight, or when
@@ -465,22 +461,156 @@ class TransportServer:
     Otherwise it is stricter: the server waits on the oldest task in
     flight, so a slow worker holds the others back (as in stale
     synchronous parallel) instead of having its late push rejected. After
-    each commit the gate is checked for the connections waiting for a
-    slot, in accept order.
+    each accept, commit and drop, the connections waiting for a slot are
+    granted what the gate allows in accept order: Shutdown once the epoch
+    counter has reached ``total_epochs``.
+    """
 
-    The PullResponse snapshot is taken when the PullRequest is read.
-    When the epoch counter reaches ``total_epochs`` every connection
-    receives Shutdown; the server then half-closes and reads to EOF, so
-    that an unanswered PullRequest does not turn the close into a reset.
+    def __init__(self, cfg: ExperimentConfig, problem: Problem):
+        self.cfg = cfg
+        self.state = ServerState.create(problem.x0)
+        self.run = RunLoop(cfg, problem, self.state)
+        self.conns: list[_Conn] = []  # live connections, in accept order
+        self.seen: set[int] = set()  # worker ids ever bound
+        self.done = False
+        self._in_flight: list[int] = []  # trigger epochs of the tasks in flight
+        self._bound: set[int] = set()  # worker ids held by live connections
 
-    A frame longer than the largest legal one at the run's dimension is
-    refused at its header. When the process runs out of file descriptors
-    the server stops accepting until a connection closes.
+    def connect(self, conn: _Conn) -> None:
+        self.conns.append(conn)
+        self._grant()
 
-    ``bind``, then ``wait``, runs the loop in the caller's thread, for
-    workers in other processes (``fedasync serve``); an in-process run
-    calls ``attach_worker`` for each worker in between, and ``wait``
-    drives those workers inside the loop.
+    def receive(self, conn: _Conn, msg: Message) -> None:
+        """Act on one frame from ``conn``, which is not closing."""
+        want = "no frame" if conn.pulled else "Push" if conn.phase == _PUSH else "PullRequest"
+        if type(msg).__name__ != want:
+            raise FrameError(f"expected {want}, got {type(msg).__name__}")
+        if isinstance(msg, Push):
+            accepted = self._commit(msg, conn.worker_id)
+            self._in_flight.remove(conn.task)
+            conn.task = None
+            conn.buf.put(PushAck(accepted=accepted, current_epoch=self.state.epoch))
+            conn.phase = _SLOT
+            self._grant()
+            return
+        self._bind(conn, msg.worker_id)
+        conn.pulled = True
+        if conn.phase == _PULL:
+            self._answer(conn)
+
+    def drop(self, conn: _Conn, exc: BaseException) -> None:
+        """Forget a connection and hand its slot on; log a fault before the end."""
+        if conn.phase == _CLOSED:
+            return
+        if conn.phase != _CLOSING:
+            if isinstance(exc, EOFError):
+                log.info("worker %s at %s disconnected", conn.worker_id, conn.addr)
+            else:
+                # mid-task drops abandon the task; its slot goes back below
+                log.warning("connection %s dropped: %s", conn.addr, exc)
+        if conn.task is not None:
+            self._in_flight.remove(conn.task)
+        if conn.worker_id is not None:
+            self._bound.discard(conn.worker_id)
+        conn.phase = _CLOSED
+        self.conns.remove(conn)
+        self._grant()
+
+    def _may_trigger(self) -> bool:
+        """The dispatch gate (see the class docstring)."""
+        flight = self._in_flight
+        return not flight or (
+            self.state.epoch - min(flight) + len(flight) <= self.cfg.server.max_staleness
+        )
+
+    def _grant(self) -> None:
+        """Give the connections waiting for a slot, in accept order, what
+        the gate lets through: a Trigger, or once the run is over, Shutdown."""
+        for conn in self.conns:
+            if conn.phase != _SLOT:
+                continue
+            if self.done:
+                conn.phase = _CLOSING
+                conn.buf.put(Shutdown())
+                continue
+            if not self._may_trigger():
+                return
+            conn.task = self.state.epoch
+            self._in_flight.append(conn.task)
+            conn.buf.put(Trigger(epoch=conn.task))
+            conn.phase = _PULL
+            if conn.pulled:
+                self._answer(conn)
+
+    def _bind(self, conn: _Conn, worker_id: int) -> None:
+        if conn.worker_id is None:
+            if not 0 <= worker_id < self.cfg.n_workers:
+                raise ProtocolError(
+                    f"worker id {worker_id} out of range for {self.cfg.n_workers} workers"
+                )
+            if worker_id in self._bound:
+                raise ProtocolError(f"worker id {worker_id} is held by another connection")
+            conn.worker_id = worker_id
+            self._bound.add(worker_id)
+            self.seen.add(worker_id)
+        elif worker_id != conn.worker_id:
+            raise ProtocolError(
+                f"PullRequest names worker {worker_id} on a "
+                f"connection bound to worker {conn.worker_id}"
+            )
+
+    def _answer(self, conn: _Conn) -> None:
+        snap_epoch, snap_params = self.state.pull()
+        conn.buf.put(PullResponse(epoch=snap_epoch, params=snap_params))
+        conn.pulled = False
+        conn.phase = _PUSH
+
+    def _commit(self, push: Push, worker_id: int) -> bool:
+        """Apply one push and take the run loop's step. False if refused.
+        The push that reaches ``total_epochs`` ends the run."""
+        if self.done:
+            return False
+        try:
+            if push.worker_id != worker_id:
+                raise ProtocolError(
+                    f"push names worker {push.worker_id} on a connection "
+                    f"bound to worker {worker_id}"
+                )
+            # decoding gave push.params as a fresh float64 array: no copy here
+            upd = LocalUpdate(push.params, push.tau, push.worker_id, push.local_iters)
+            apply_update(self.state, self.cfg.server, upd)
+        except StaleUpdateError as exc:
+            log.info("rejected stale push from worker %s: %s", worker_id, exc)
+            return False
+        except ProtocolError as exc:
+            log.error("protocol error from worker %s: %s", worker_id, exc)
+            return False
+        self.run.step(0.0)
+        if self.state.epoch >= self.cfg.total_epochs:
+            self.done = True
+        return True
+
+
+class TransportServer:
+    """Accepts worker connections and runs the protocol to T epochs: the
+    I/O around :class:`_ServerSession`, which holds the protocol.
+
+    One selector loop serves the listener and every connection, on
+    non-blocking sockets, and never blocks on one peer. It reads every
+    connection as bytes arrive, one waiting for a slot too, so that EOF
+    or a stray frame from it is seen at once. It hands the session each
+    whole frame and sends what the session wrote behind. A connection's
+    faults, EOF, or silence for ``socket_timeout`` seconds while the
+    server waits on it drop that connection alone. After Shutdown the
+    server half-closes and reads to EOF, so that an unanswered
+    PullRequest does not turn the close into a reset. A frame longer than
+    the largest legal one at the run's dimension is refused at its
+    header. Out of file descriptors, the server stops accepting until a
+    connection closes.
+
+    ``bind``, then ``wait``, runs the loop in the caller's thread
+    (``fedasync serve``); an in-process run calls ``attach_worker`` for
+    each worker in between, and ``wait`` drives those workers too.
     """
 
     def __init__(
@@ -493,15 +623,9 @@ class TransportServer:
     ):
         self.cfg = cfg
         self.problem = problem if problem is not None else build_problem(cfg)
-        self.state = ServerState.create(self.problem.x0)
-        self._run = RunLoop(cfg, self.problem, self.state)
+        self.session = _ServerSession(cfg, self.problem)
         self.socket_timeout = socket_timeout
         self._host, self._port = host, port
-        self._in_flight: list[int] = []  # trigger epochs of the tasks in flight
-        self._bound: set[int] = set()  # worker ids held by live connections
-        self._seen: set[int] = set()  # worker ids ever bound
-        self._done = False
-        self._conns: list[_Conn] = []  # in accept order
         self._locals: list[_LocalWorker] = []
         self._listener: socket.socket | None = None
         self._selector: selectors.BaseSelector | None = None
@@ -545,7 +669,7 @@ class TransportServer:
         deadline = None if timeout is None else time.monotonic() + timeout
         if not self._loop(deadline):
             raise TimeoutError(f"run did not finish within {timeout} s")
-        return self._run.result()
+        return self.session.run.result()
 
     # -- the loop ----------------------------------------------------------
 
@@ -555,49 +679,40 @@ class TransportServer:
         closed on the way out, also when an in-process worker raises; its
         divergence becomes a RunFailure carrying the rows so far."""
         assert self._selector is not None
+        session, conns = self.session, self.session.conns
         try:
             while True:
                 now = time.monotonic()
-                for conn in [c for c in self._conns if c.deadline is not None]:
+                for conn in [c for c in conns if c.deadline is not None]:
                     if now >= conn.deadline:
                         self._close(conn, TimeoutError("timed out"))
-                for conn in self._pending():
-                    self._advance(conn)
                 self._flush(now)
-                if self._done and not self._conns and not self._locals:
+                if session.done and not conns and not self._locals:
                     return True
                 if deadline is not None and now >= deadline:
                     return False
-                if not self._done and len(self._seen) == self.cfg.n_workers and not self._conns:
+                if not session.done and len(session.seen) == self.cfg.n_workers and not conns:
                     raise ConnectionError(
-                        f"every worker disconnected at epoch {self.state.epoch} "
+                        f"every worker disconnected at epoch {session.state.epoch} "
                         f"of {self.cfg.total_epochs}"
                     )
-                due = [c.deadline for c in self._conns if c.deadline is not None]
+                due = [c.deadline for c in conns if c.deadline is not None]
                 if deadline is not None:
                     due.append(deadline)
+                # a drop in _flush can grant a slot to a connection it has passed
+                if any(c.buf.outbox and not c.events & selectors.EVENT_WRITE for c in conns):
+                    due.append(now)
                 wait_s = max(0.0, min(due) - now) if due else None
-                if self._pending():  # a drop in _flush handed a slot on; no event will come for it
-                    wait_s = 0.0
                 for key, mask in self._selector.select(wait_s):
                     key.data(mask)
         except DivergenceError as exc:
-            raise RunFailure(self._run.records, self.state.epoch, exc) from exc
+            raise RunFailure(session.run.records, session.state.epoch, exc) from exc
         finally:
             self._teardown()
 
-    def _pending(self) -> list[_Conn]:
-        """The connections, in accept order, in their pull or push phase
-        with a whole frame in the inbox: a worker's PullRequest arrives with
-        its Push, so one granted a slot may hold it, and no event comes."""
-        return [c for c in self._conns if c.phase in (_PULL, _PUSH) and c.buf.ready()]
-
     def _teardown(self) -> None:
-        for conn in self._conns:
-            conn.sock.close()
-        for peer in self._locals:
+        for peer in [*self.session.conns, *self._locals]:
             peer.sock.close()
-        self._conns, self._locals = [], []
         if self._listener is not None:
             self._listener.close()
         if self._selector is not None:
@@ -627,7 +742,7 @@ class TransportServer:
                 peer.buf.send(peer.sock)
             write = selectors.EVENT_WRITE if peer.buf.outbox else 0
             self._watch(peer, selectors.EVENT_READ | write)
-        for conn in list(self._conns):
+        for conn in list(self.session.conns):
             try:
                 if conn.buf.outbox:
                     conn.buf.send(conn.sock)
@@ -637,13 +752,12 @@ class TransportServer:
             except OSError as exc:
                 self._close(conn, exc)
                 continue
-            read = 0 if conn.phase == _SLOT else selectors.EVENT_READ
             write = selectors.EVENT_WRITE if conn.buf.outbox else 0
-            if not read | write:
+            if conn.phase == _SLOT and not write:  # not waiting on the peer
                 conn.deadline = None
             elif conn.deadline is None:
                 conn.deadline = now + self.socket_timeout
-            self._watch(conn, read | write)
+            self._watch(conn, selectors.EVENT_READ | write)
 
     def _accept(self, mask: int) -> None:
         assert self._listener is not None
@@ -662,8 +776,7 @@ class TransportServer:
         sock.setblocking(False)
         conn = _Conn(_no_delay(sock), addr, self.problem.x0.size)
         conn.on_event = partial(self._on_conn, conn)
-        self._conns.append(conn)
-        self._grant()
+        self.session.connect(conn)
 
     def _on_conn(self, conn: _Conn, mask: int) -> None:
         if conn.phase == _CLOSED:
@@ -672,104 +785,19 @@ class TransportServer:
         try:
             if mask & selectors.EVENT_WRITE:
                 conn.buf.send(conn.sock)
-            if mask & selectors.EVENT_READ and conn.phase != _SLOT:
+            if mask & selectors.EVENT_READ:
                 if not conn.buf.fill(conn.sock):
                     raise EOFError
-        except (EOFError, OSError, FrameError) as exc:
+                while conn.phase != _CLOSING and (msg := conn.buf.next()) is not None:
+                    self.session.receive(conn, msg)
+                if conn.phase == _CLOSING:
+                    conn.buf.inbox.clear()  # read to EOF and dropped
+        except (EOFError, OSError, FrameError, ProtocolError) as exc:
             self._close(conn, exc)
-            return
-        self._advance(conn)
-
-    def _advance(self, conn: _Conn) -> None:
-        """Act on the frames in the inbox that the connection's phase expects."""
-        try:
-            while conn.phase in (_PULL, _PUSH) and (msg := conn.buf.next()) is not None:
-                if conn.phase == _PULL:
-                    self._on_pull(conn, msg)
-                else:
-                    self._on_push(conn, msg)
-        except (FrameError, ProtocolError) as exc:
-            self._close(conn, exc)
-            return
-        if conn.phase == _CLOSING:
-            conn.buf.inbox.clear()  # read to EOF and dropped
-
-    def _may_trigger(self) -> bool:
-        """The dispatch gate (see the class docstring)."""
-        flight = self._in_flight
-        return not flight or (
-            self.state.epoch - min(flight) + len(flight) <= self.cfg.server.max_staleness
-        )
-
-    def _grant(self) -> None:
-        """Give the connections waiting for a slot, in accept order, what
-        the gate lets through: a Trigger, or once the run is over, Shutdown."""
-        for conn in self._conns:
-            if conn.phase != _SLOT:
-                continue
-            if self._done:
-                conn.phase = _CLOSING
-                conn.buf.put(Shutdown())
-                continue
-            if not self._may_trigger():
-                return
-            conn.task = self.state.epoch
-            self._in_flight.append(conn.task)
-            conn.buf.put(Trigger(epoch=conn.task))
-            conn.phase = _PULL
-
-    def _on_pull(self, conn: _Conn, pull: Message) -> None:
-        if not isinstance(pull, PullRequest):
-            raise FrameError(f"expected PullRequest, got {type(pull).__name__}")
-        if conn.worker_id is None:
-            if not 0 <= pull.worker_id < self.cfg.n_workers:
-                raise ProtocolError(
-                    f"worker id {pull.worker_id} out of range for {self.cfg.n_workers} workers"
-                )
-            if pull.worker_id in self._bound:
-                raise ProtocolError(f"worker id {pull.worker_id} is held by another connection")
-            conn.worker_id = pull.worker_id
-            self._bound.add(conn.worker_id)
-            self._seen.add(conn.worker_id)
-        elif pull.worker_id != conn.worker_id:
-            raise ProtocolError(
-                f"PullRequest names worker {pull.worker_id} on a "
-                f"connection bound to worker {conn.worker_id}"
-            )
-        snap_epoch, snap_params = self.state.pull()
-        conn.buf.put(PullResponse(epoch=snap_epoch, params=snap_params))
-        conn.phase = _PUSH
-
-    def _on_push(self, conn: _Conn, push: Message) -> None:
-        if not isinstance(push, Push):
-            raise FrameError(f"expected Push, got {type(push).__name__}")
-        assert conn.worker_id is not None and conn.task is not None
-        accepted = self._commit(push, conn.worker_id)
-        self._in_flight.remove(conn.task)
-        conn.task = None
-        conn.buf.put(PushAck(accepted=accepted, current_epoch=self.state.epoch))
-        conn.phase = _SLOT
-        self._grant()
 
     def _close(self, conn: _Conn, exc: BaseException) -> None:
-        """Close a connection and return its slot; a fault before the run's
-        end is logged."""
-        if conn.phase == _CLOSED:
-            return
-        if conn.phase != _CLOSING:
-            if isinstance(exc, EOFError):
-                log.info("worker %s at %s disconnected", conn.worker_id, conn.addr)
-            else:
-                # mid-task drops abandon the task; its slot goes back below
-                log.warning("connection %s dropped: %s", conn.addr, exc)
-        if conn.task is not None:
-            self._in_flight.remove(conn.task)
-        if conn.worker_id is not None:
-            self._bound.discard(conn.worker_id)
-        conn.phase = _CLOSED
+        self.session.drop(conn, exc)
         self._release(conn)
-        self._conns.remove(conn)
-        self._grant()
 
     def _release(self, peer: _Conn | _LocalWorker) -> None:
         """Close ``peer``'s socket; the descriptor freed lets a paused
@@ -779,32 +807,3 @@ class TransportServer:
         if self._paused:
             self._selector.register(self._listener, selectors.EVENT_READ, self._accept)
             self._paused = False
-
-    def _commit(self, push: Push, worker_id: int) -> bool:
-        """Apply one push and take the run loop's step. False if refused.
-        The push that reaches ``total_epochs`` ends the run."""
-        if self._done:
-            return False
-        try:
-            if push.worker_id != worker_id:
-                raise ProtocolError(
-                    f"push names worker {push.worker_id} on a connection "
-                    f"bound to worker {worker_id}"
-                )
-            upd = LocalUpdate(
-                params=np.array(push.params, dtype=np.float64),
-                tau=push.tau,
-                worker_id=push.worker_id,
-                local_iters=push.local_iters,
-            )
-            apply_update(self.state, self.cfg.server, upd)
-        except StaleUpdateError as exc:
-            log.info("rejected stale push from worker %s: %s", worker_id, exc)
-            return False
-        except ProtocolError as exc:
-            log.error("protocol error from worker %s: %s", worker_id, exc)
-            return False
-        self._run.step(0.0)
-        if self.state.epoch >= self.cfg.total_epochs:
-            self._done = True
-        return True

@@ -667,3 +667,30 @@ class TestServeWorkerCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"127.0.0.1:{port}" in err and "refused" in err
+
+    def test_worker_reports_a_server_gone_mid_task_in_one_line(self):
+        # a fake server reads the PullRequest, sends one Trigger and closes
+        from fedasync.transport import PullRequest, Trigger, _Buffer, encode, read_message
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(30)
+            port = listener.getsockname()[1]
+            worker = subprocess.Popen(
+                [sys.executable, "-m", "fedasync", "worker", "--connect", f"127.0.0.1:{port}",
+                 "--worker-id", "0", "task=quadratic", "n_samples=80", "dim=5"],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            try:
+                conn, _ = listener.accept()
+                with conn:
+                    assert read_message(conn, _Buffer(5)) == PullRequest(worker_id=0)
+                    conn.sendall(encode(Trigger(epoch=0)))
+                _, err = worker.communicate(timeout=60)
+            except BaseException:
+                worker.kill()
+                raise
+        assert worker.returncode == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"127.0.0.1:{port}" in err and "PullResponse" in err

@@ -1,6 +1,7 @@
 """Wire-format and socket-loop tests for the process deployment mode."""
 
 import gc
+import itertools
 import logging
 import re
 import socket
@@ -14,11 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedasync.transport as transport
 from fedasync.cli import _run_net
 from fedasync.server import ServerConfig
-from fedasync.simulator import ExperimentConfig, RunFailure, run_fedasync_sampled
+from fedasync.simulator import ExperimentConfig, RunFailure, build_problem, run_fedasync_sampled
 from fedasync.transport import (
     FrameError,
     OversizeFrameError,
@@ -378,6 +381,111 @@ class TestLoopback:
         assert done["loop"] == (3, 3)
 
 
+def _memory_run(cfg, cut=lambda data: [data]):
+    """A 1-worker run of the two sans-IO sessions over in-memory buffers,
+    with no socket: the server's ``_Conn`` has none. Each direction's
+    bytes arrive in the pieces that ``cut`` makes of them. Returns the
+    run's result and every byte the server wrote."""
+    problem = build_problem(cfg)
+    session = transport._ServerSession(cfg, problem)
+    conn = transport._Conn(None, ("memory", 0), problem.x0.size)
+    worker = transport._WorkerSession(cfg, 0, problem)
+    wbuf = transport._Buffer(problem.x0.size)
+    wbuf.put(PullRequest(worker_id=0))
+    session.connect(conn)
+    sent = bytearray()
+    while not worker.done:
+        for piece in cut(bytes(wbuf.outbox)):
+            conn.buf.inbox += piece
+            while conn.phase != transport._CLOSING and (msg := conn.buf.next()) is not None:
+                session.receive(conn, msg)
+        wbuf.outbox.clear()
+        out = bytes(conn.buf.outbox)
+        assert out, "the server owes the worker nothing, and the worker waits"
+        conn.buf.outbox.clear()
+        sent += out
+        for piece in cut(out):
+            wbuf.inbox += piece
+            while not worker.done and (msg := wbuf.next()) is not None:
+                for reply in worker.receive(msg):
+                    wbuf.put(reply)
+    session.drop(conn, EOFError())
+    assert session.conns == []
+    return session.run.result(), bytes(sent)
+
+
+class TestSansIO:
+    CFG = _cfg(total_epochs=20, eval_every=3)
+
+    def test_in_memory_run_matches_the_socket_run_bit_for_bit(self):
+        memory, sent = _memory_run(self.CFG)
+        net = _run_net(self.CFG)
+        assert [r.cells() for r in memory.records] == [r.cells() for r in net.records]
+        assert memory.final_params.tobytes() == net.final_params.tobytes()
+        assert sent.endswith(encode(Shutdown()))
+
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.integers(1, 64), min_size=1, max_size=12))
+    def test_byte_splits_change_nothing(self, sizes):
+        whole, whole_sent = _memory_run(self.CFG)
+        sizes = itertools.cycle(sizes)
+
+        def cut(data):
+            pieces = []
+            while data:
+                n = next(sizes)
+                pieces.append(data[:n])
+                data = data[n:]
+            return pieces
+
+        split, split_sent = _memory_run(self.CFG, cut)
+        assert [r.cells() for r in split.records] == [r.cells() for r in whole.records]
+        assert split.final_params.tobytes() == whole.final_params.tobytes()
+        assert split_sent == whole_sent
+
+
+class TestWaitingConnections:
+    # K=0 and a raw client holds the only slot, so a second connection
+    # waits at the gate; the server reads it all the same
+
+    def test_eof_from_a_waiting_connection_is_seen_at_once(self, caplog):
+        cfg = _cfg(n_workers=2, total_epochs=1)
+        server = TransportServer(cfg, socket_timeout=60.0)
+        with caplog.at_level(logging.INFO, logger="fedasync.transport"):
+            address, finish = _serve(server)
+            with _Client(address) as holder:
+                resp = holder.task(worker_id=0)
+                with _Client(address) as waiting:
+                    waiting.send(PullRequest(worker_id=1))
+                t0 = time.perf_counter()
+                while not any(
+                    "worker 1" in r.getMessage() and "disconnected" in r.getMessage()
+                    for r in caplog.records
+                ):
+                    assert time.perf_counter() - t0 < 5.0, "the waiting EOF was not seen"
+                    time.sleep(0.01)
+                holder.send(Push(worker_id=0, tau=resp.epoch, local_iters=1, params=resp.params))
+                assert holder.read() == PushAck(accepted=True, current_epoch=1)
+                assert isinstance(holder.read(), Shutdown)
+            assert finish().state.epoch == 1
+
+    def test_a_push_from_a_waiting_connection_drops_it_at_once(self, caplog):
+        cfg = _cfg(n_workers=2, total_epochs=3)
+        server = TransportServer(cfg, socket_timeout=60.0)
+        address, finish = _serve(server)
+        with caplog.at_level(logging.WARNING, logger="fedasync.transport"):
+            with _Client(address) as holder:
+                holder.task(worker_id=0)
+                with _Client(address, timeout=10) as waiting:
+                    t0 = time.perf_counter()
+                    waiting.send(Push(worker_id=1, tau=0, local_iters=1, params=np.zeros(5)))
+                    assert waiting.sock.recv(1) == b""
+                    assert time.perf_counter() - t0 < 3.0
+        assert any("expected PullRequest, got Push" in r.getMessage() for r in caplog.records)
+        assert worker_loop(address, cfg, 1, problem=server.problem) == (3, 3)
+        assert finish().state.epoch == 3
+
+
 class TestOneSendPerExchange:
     def test_pipelined_client_gets_fin_after_shutdown(self):
         # the PullRequest sent with the last Push is never answered; the
@@ -587,6 +695,41 @@ class TestTeardown:
             assert time.perf_counter() - t0 < 10.0
         assert honest["loop"] == (2, 2)
         assert finish().state.epoch == 4
+
+    def test_a_drop_in_flush_serves_a_connection_it_passed(self, monkeypatch):
+        # K=1, accept order: early, late, both given epoch-0 tasks. early
+        # pushes and is held at the gate behind late's task, its
+        # PullRequest sent ahead. late's PullResponse send fails in the
+        # server's flush, after flush has passed early; the drop grants
+        # early, and its Trigger and PullResponse must go out at once
+        cfg = _cfg(n_workers=2, total_epochs=2, server=ServerConfig(alpha=0.6, max_staleness=1))
+        doomed = []
+        send = transport._Buffer.send
+
+        def failing_send(buf, sock):
+            if sock.getpeername() in doomed:
+                raise ConnectionResetError("reset by the test")
+            send(buf, sock)
+
+        monkeypatch.setattr(transport._Buffer, "send", failing_send)
+        server = TransportServer(cfg, socket_timeout=30.0)
+        address, finish = _serve(server)
+        with _Client(address, timeout=10) as early, _Client(address) as late:
+            resp = early.task(worker_id=0)
+            assert late.read() == Trigger(epoch=0)
+            early.send(Push(0, resp.epoch, 1, resp.params), PullRequest(worker_id=0))
+            assert early.read() == PushAck(accepted=True, current_epoch=1)
+            doomed.append(late.sock.getsockname())
+            t0 = time.perf_counter()
+            late.send(PullRequest(worker_id=1))
+            assert early.read() == Trigger(epoch=1)
+            resp = early.read()
+            assert isinstance(resp, PullResponse) and resp.epoch == 1
+            assert time.perf_counter() - t0 < 5.0
+            early.send(Push(0, resp.epoch, 1, resp.params))
+            assert early.read() == PushAck(accepted=True, current_epoch=2)
+            assert isinstance(early.read(), Shutdown)
+        assert finish().state.epoch == 2
 
     def test_timeout_cuts_connections_at_once(self):
         cfg = _cfg(total_epochs=2)
