@@ -7,7 +7,7 @@ aggregation rule, not from incidental implementation drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,14 +28,13 @@ from fedasync.worker import WorkerConfig, local_train
 
 @dataclass
 class FedAvgConfig:
-    """Round structure of the synchronous baseline.
-
-    ``rounds`` and ``local_steps`` of None inherit the experiment's
-    epoch budget and the midpoint of its local step range.
+    """Round structure of the synchronous baseline: ``k`` devices per
+    round, each taking ``local_steps`` steps. ``local_steps`` of None
+    inherits the midpoint of the experiment's local step range. The
+    number of rounds is always the experiment's ``total_epochs``.
     """
 
     k: int = field(default=10, metadata=at_least(1))
-    rounds: int | None = field(default=None, metadata=optional(at_least(1)))
     local_steps: int | None = field(default=None, metadata=optional(at_least(1)))
 
     def __post_init__(self):
@@ -50,12 +49,13 @@ def run_fedavg(
 ) -> RunResult:
     """Synchronous rounds: sample ``k`` devices, average their results.
 
-    Each round the server stream draws ``k`` distinct devices; every one
-    runs ``local_steps`` plain SGD steps (no proximal pull) from the
-    current global model, and the new global model is the unweighted
-    mean of what they send back, folded in device-id order. One round
-    counts as one epoch in the metrics; ``alpha_t`` and ``staleness``
-    are not meaningful here and are recorded as 0.
+    Each of the ``cfg.total_epochs`` rounds, the server stream draws ``k``
+    distinct devices; every one runs ``local_steps`` plain SGD steps (no
+    proximal pull) from the current global model, and the new global
+    model is the unweighted mean of what they send back, folded in
+    device-id order. One round counts as one epoch in the metrics;
+    ``alpha_t`` and ``staleness`` are not meaningful here and are
+    recorded as 0.
     """
     if problem is None:
         problem = build_problem(cfg)
@@ -67,7 +67,6 @@ def run_fedavg(
     local_steps = favg.local_steps
     if local_steps is None:
         local_steps = (cfg.worker.h_min + cfg.worker.h_max) // 2
-    rounds = favg.rounds if favg.rounds is not None else cfg.total_epochs
     lcfg = WorkerConfig(
         gamma=cfg.worker.gamma,
         rho=0.0,
@@ -80,7 +79,7 @@ def run_fedavg(
     worker_streams = [worker_rng(cfg.seed, w) for w in range(cfg.n_workers)]
 
     def schedule():
-        for rnd in range(1, rounds + 1):
+        for rnd in range(1, cfg.total_epochs + 1):
             selected = sorted(
                 int(w)
                 for w in server_stream.choice(cfg.n_workers, size=k, replace=False)
@@ -102,7 +101,7 @@ def run_fedavg(
             state.n_gradients += sum(u.local_iters for u in results)
             yield 0.0
 
-    return drive(RunLoop(cfg, problem, state, record_trajectory, epochs=rounds), schedule())
+    return drive(RunLoop(cfg, problem, state, record_trajectory), schedule())
 
 
 def run_serial_sgd(
@@ -110,42 +109,30 @@ def run_serial_sgd(
     problem: Problem | None = None,
     record_trajectory: bool = False,
 ) -> RunResult:
-    """Single-stream SGD over the pooled training data.
+    """Single-stream SGD over the pooled training data: FedAvg with one
+    device holding the whole training split, ``k=1`` and one local step
+    per round (McMahan et al. 2017), so each epoch costs one gradient.
 
-    Implemented as one local step per epoch through the shared solver,
-    consuming worker stream 0 exactly like an asynchronous worker with
-    ``h_min = h_max = 1`` would: the step-count draw over that one-value
-    range leaves the stream untouched, so each epoch makes one batch
-    draw (none with ``batch_size`` None). With one step per
-    epoch the proximal term vanishes, so this is plain SGD; each epoch
-    costs exactly one gradient.
+    The device draws from worker stream 0 like an asynchronous worker
+    with ``h_min = h_max = 1``: one batch draw per epoch (none with
+    ``batch_size`` None). The bytes are those of a loop of its own:
+    ``np.mean`` over one vector returns it, except that it turns -0.0
+    into +0.0, and no iterate is ever -0.0 (a run starts from zeros or
+    Gaussian weights, and ``x -= gamma * g`` gives -0.0 only when ``x``
+    is -0.0); ``server_stream.choice(1, 1)`` reads only the server
+    stream, which serial SGD never used.
     """
     if problem is None:
         problem = build_problem(cfg)
-    lcfg = WorkerConfig(
-        gamma=cfg.worker.gamma,
-        rho=0.0,
-        h_min=1,
-        h_max=1,
-        batch_size=cfg.worker.batch_size,
-    )
     pooled = Shard(
         device_id=0,
         features=problem.train.features,
         targets=problem.train.targets,
         indices=np.arange(len(problem.train)),
     )
-    state = ServerState.create(problem.x0)
-    stream = worker_rng(cfg.seed, 0)
-
-    def schedule():
-        for step in range(1, cfg.total_epochs + 1):
-            upd = local_train(
-                problem.objective, pooled, state.params, state.epoch, lcfg, stream, 0
-            )
-            state.params = np.array(upd.params)
-            state.epoch = step
-            state.n_gradients += upd.local_iters
-            yield 0.0
-
-    return drive(RunLoop(cfg, problem, state, record_trajectory), schedule())
+    return run_fedavg(
+        replace(cfg, n_workers=1),
+        replace(problem, shards=[pooled]),
+        FedAvgConfig(k=1, local_steps=1),
+        record_trajectory,
+    )

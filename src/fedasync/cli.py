@@ -54,7 +54,7 @@ from fedasync.simulator import (
     run_fedasync_sampled,
 )
 from fedasync.transport import FrameError, TransportServer, worker_loop
-from fedasync.worker import WorkerConfig
+from fedasync.worker import DivergenceError, WorkerConfig
 
 ALGORITHMS = ("fedasync-sampled", "fedasync-latency", "fedasync-net", "fedavg", "sgd")
 
@@ -463,6 +463,8 @@ def _parse_hostport(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep:
         raise ValueError(f"expected HOST:PORT, got {text!r}")
+    if not 0 <= int(port) <= 65535:
+        raise ValueError(f"port must be in 0-65535, got {text!r}")
     return host, int(port)
 
 
@@ -482,13 +484,16 @@ def cmd_serve(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    try:
-        os.makedirs(args.out, exist_ok=False)
-    except FileExistsError:
+    if os.path.exists(args.out):
         print(f"refusing to write into existing directory {args.out!r}", file=sys.stderr)
         return 2
     server = TransportServer(spec.cfg, host=host, port=port)
-    bound_host, bound_port = server.bind()
+    try:
+        bound_host, bound_port = server.bind()
+    except OSError as exc:  # the port is taken, or the host is not ours
+        print(f"cannot listen on {host}:{port}: {exc}", file=sys.stderr)
+        return 1
+    os.makedirs(args.out)
     print(f"listening {bound_host} {bound_port}", flush=True)
     try:
         result = server.wait(timeout=args.timeout)
@@ -516,6 +521,9 @@ def cmd_worker(args) -> int:
         pushes, accepted = worker_loop((host, port), spec.cfg, args.worker_id)
     except (OSError, FrameError) as exc:  # refused, reset, closed mid-task, or junk
         print(f"connection to {host}:{port} failed: {exc}", file=sys.stderr)
+        return 1
+    except DivergenceError as exc:
+        print(f"worker {args.worker_id}: FAILED: {exc}", file=sys.stderr)
         return 1
     print(f"worker {args.worker_id}: {pushes} pushes, {accepted} accepted")
     return 0

@@ -18,6 +18,7 @@ import numpy as np
 
 CSV_HEADER = "epoch,gradients,loss,grad_norm_sq,accuracy,alpha_t,staleness,sim_time"
 FIELDS = CSV_HEADER.split(",")
+INT_FIELDS = ("epoch", "gradients", "staleness")  # written with str(); the rest are floats
 
 
 @dataclass
@@ -41,28 +42,13 @@ class MetricsRecord:
     sim_time: float
 
     def cells(self) -> list[str]:
-        return [
-            str(self.epoch),
-            str(self.gradients),
-            cell(self.loss),
-            cell(self.grad_norm_sq),
-            cell(self.accuracy),
-            cell(self.alpha_t),
-            str(self.staleness),
-            cell(self.sim_time),
-        ]
+        return [str(v) if n in INT_FIELDS else cell(v) for n, v in self._named()]
 
     def json_obj(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "gradients": self.gradients,
-            "loss": float(self.loss),
-            "grad_norm_sq": float(self.grad_norm_sq),
-            "accuracy": None if self.accuracy is None else float(self.accuracy),
-            "alpha_t": float(self.alpha_t),
-            "staleness": self.staleness,
-            "sim_time": float(self.sim_time),
-        }
+        return {n: v if n in INT_FIELDS or v is None else float(v) for n, v in self._named()}
+
+    def _named(self) -> list[tuple[str, object]]:
+        return [(n, getattr(self, n)) for n in FIELDS]
 
 
 def cell(value: float | None) -> str:

@@ -236,8 +236,8 @@ class RunLoop:
     """The run loop's step, taken after each committed update by
     :func:`drive` and by the TCP server's selector loop. It
     evaluates the model at epoch 0, after every ``cfg.eval_every`` epochs
-    and at the last epoch, ``epochs`` (default ``cfg.total_epochs``); with
-    ``record_trajectory`` it keeps a copy of the model after every update."""
+    and at the last epoch, ``cfg.total_epochs``; with ``record_trajectory``
+    it keeps a copy of the model after every update."""
 
     def __init__(
         self,
@@ -245,10 +245,9 @@ class RunLoop:
         problem: Problem,
         state: ServerState,
         record_trajectory: bool = False,
-        epochs: int | None = None,
     ):
         self.problem, self.state, self.every = problem, state, cfg.eval_every
-        self.last = cfg.total_epochs if epochs is None else epochs
+        self.last = cfg.total_epochs
         self.records = [make_record(problem, state, 0.0)]
         self.trajectory: list[np.ndarray] | None = [] if record_trajectory else None
 

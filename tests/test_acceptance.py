@@ -225,8 +225,8 @@ def test_criterion_07_async_beats_fedavg_and_sgd_beats_both():
         fed = _gradients_to_fraction(
             run_fedasync_sampled(cfg, problem=problem).records)
         favg = _gradients_to_fraction(
-            run_fedavg(cfg, problem=problem,
-                       favg=FedAvgConfig(k=10, rounds=150, local_steps=10)).records)
+            run_fedavg(replace(cfg, total_epochs=150), problem=problem,
+                       favg=FedAvgConfig(k=10, local_steps=10)).records)
         sgd = _gradients_to_fraction(
             run_serial_sgd(replace(cfg, total_epochs=3000), problem=problem).records)
         assert fed is not None and favg is not None and sgd is not None

@@ -34,11 +34,10 @@ class TestFedAvgConfig:
     def test_defaults(self):
         favg = FedAvgConfig()
         assert favg.k == 10
-        assert favg.rounds is None
         assert favg.local_steps is None
 
     @pytest.mark.parametrize(
-        "kwargs", [{"k": 0}, {"rounds": 0}, {"local_steps": 0}]
+        "kwargs", [{"k": 0}, {"local_steps": 0}]
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

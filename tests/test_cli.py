@@ -694,3 +694,68 @@ class TestServeWorkerCommands:
         assert worker.returncode == 1
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"127.0.0.1:{port}" in err and "PullResponse" in err
+
+    def test_worker_reports_its_divergence_in_one_line(self):
+        # a fake server hands out one task; with h_min = h_max = 20 and
+        # gamma = 1e40 the worker's local steps overflow before the last
+        from fedasync.transport import (
+            PullRequest,
+            PullResponse,
+            Trigger,
+            _Buffer,
+            encode,
+            read_message,
+        )
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(30)
+            port = listener.getsockname()[1]
+            worker = subprocess.Popen(
+                [sys.executable, "-m", "fedasync", "worker", "--connect", f"127.0.0.1:{port}",
+                 "--worker-id", "0", "task=quadratic", "n_samples=40", "dim=4",
+                 "gamma=1e40", "batch_size=full", "h_min=20", "h_max=20"],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            try:
+                conn, _ = listener.accept()
+                with conn:
+                    assert read_message(conn, _Buffer(4)) == PullRequest(worker_id=0)
+                    conn.sendall(encode(Trigger(epoch=0)) + encode(PullResponse(0, np.zeros(4))))
+                    _, err = worker.communicate(timeout=60)
+            except BaseException:
+                worker.kill()
+                raise
+        assert worker.returncode == 1
+        assert "Traceback" not in err  # numpy's overflow warnings may come first
+        assert err.splitlines()[-1].startswith("worker 0: FAILED: non-finite value at local step ")
+
+    @pytest.mark.parametrize("command", ["serve", "worker"])
+    def test_port_out_of_range_is_refused_in_one_line(self, tmp_path, capsys, command):
+        # 99999 is not a port: serve used to die of an OverflowError, and
+        # worker to connect to 99999 mod 65536
+        out = tmp_path / "served"
+        flags = {
+            "serve": ["--bind", "127.0.0.1:99999", "--out", str(out), "--timeout", "0.5"],
+            "worker": ["--connect", "127.0.0.1:99999", "--worker-id", "0"],
+        }[command]
+        assert main([command, *flags, "task=quadratic", "n_samples=80", "dim=5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "99999" in err and "0-65535" in err
+        assert not out.exists()
+
+    def test_serve_on_a_taken_port_fails_in_one_line_and_makes_no_directory(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "served"
+        argv = ["--out", str(out), "--timeout", "0.5", "task=quadratic", "n_samples=80", "dim=5"]
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            bind = f"127.0.0.1:{taken.getsockname()[1]}"
+            assert main(["serve", "--bind", bind, *argv]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and bind in err
+            assert not out.exists()
+            out.mkdir()  # an existing --out is still refused before the bind
+            assert main(["serve", "--bind", bind, *argv]) == 2
+            assert "refusing to write into existing directory" in capsys.readouterr().err

@@ -443,6 +443,17 @@ class TestSansIO:
         assert split.final_params.tobytes() == whole.final_params.tobytes()
         assert split_sent == whole_sent
 
+    def test_every_single_boundary_changes_nothing(self):
+        # each flush, in either direction, arrives as data[:k] then data[k:],
+        # for every k up to the longest flush of the run
+        lengths = []
+        whole, whole_sent = _memory_run(self.CFG, lambda data: lengths.append(len(data)) or [data])
+        for k in range(1, max(lengths) + 1):
+            split, split_sent = _memory_run(self.CFG, lambda data: [data[:k], data[k:]])
+            assert [r.cells() for r in split.records] == [r.cells() for r in whole.records], k
+            assert split.final_params.tobytes() == whole.final_params.tobytes(), k
+            assert split_sent == whole_sent, k
+
 
 class TestWaitingConnections:
     # K=0 and a raw client holds the only slot, so a second connection
