@@ -37,7 +37,7 @@ class TestFedAvgConfig:
         assert favg.local_steps is None
 
     @pytest.mark.parametrize(
-        "kwargs", [{"k": 0}, {"local_steps": 0}]
+        "kwargs", [{"k": 0}, {"k": -1}, {"local_steps": 0}]
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
