@@ -21,6 +21,7 @@ with exit status 2 and every problem listed (caught once, in
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections import defaultdict
@@ -603,13 +604,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`'s tree, built once per process; parsing
+    leaves a parser as it was, so every :func:`main` call can share it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    args = _parser().parse_args(argv)
+    # a diverging run or worker reports the failure in one line, so
+    # numpy's overflow and invalid-value warnings on the way are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(exc, file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Objective functions and the small numeric kernel used everywhere else.
 
 Parameter vectors are plain 1-D float64 numpy arrays. Every objective
-exposes the same four entry points (``loss``, ``grad``, ``predict``,
-``accuracy``) over a feature matrix ``X`` and a target vector ``y`` so the
-training loops never branch on the model family.
+exposes the same entry points (``loss``, ``grad``, ``loss_grad``,
+``predict``, ``accuracy``) over a feature matrix ``X`` and a target vector
+``y`` so the training loops never branch on the model family.
 """
 
 from __future__ import annotations
@@ -92,12 +92,26 @@ class Objective(ABC):
 
     def grad(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Gradient of :meth:`loss` with respect to ``params``."""
-        return self._grad(self._check(params, X), X, y)
+        return self._grad(self._check(params, X), X, self.prepare(y))
 
     @abstractmethod
-    def _grad(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def loss_grad(
+        self, params: np.ndarray, X: np.ndarray, y: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        """``(loss(params, X, y), grad(params, X, y))``, bit for bit, from
+        one forward pass."""
+
+    @abstractmethod
+    def prepare(self, y: np.ndarray) -> np.ndarray:
+        """The targets in the form :meth:`_grad` takes. Elementwise (or
+        rowwise) over ``y``, so a task can prepare the targets of all its
+        steps at once and hand :meth:`_grad` one slice per step."""
+
+    @abstractmethod
+    def _grad(self, params: np.ndarray, X: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The gradient kernel without validation: ``params`` must already
-        have passed :meth:`_check` against a feature matrix of ``X``'s width."""
+        have passed :meth:`_check` against a feature matrix of ``X``'s width,
+        and ``t`` is ``prepare(y)``."""
 
     @abstractmethod
     def predict(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -135,8 +149,16 @@ class QuadraticObjective(Objective):
         r = X @ params - y
         return float(0.5 * np.dot(r, r) / X.shape[0])
 
-    def _grad(self, params, X, y):
-        return X.T @ (X @ params - y) / X.shape[0]
+    def loss_grad(self, params, X, y):
+        params = self._check(params, X)
+        r = X @ params - y
+        return float(0.5 * np.dot(r, r) / X.shape[0]), X.T @ r / X.shape[0]
+
+    def prepare(self, y):
+        return y
+
+    def _grad(self, params, X, t):
+        return X.T @ (X @ params - t) / X.shape[0]
 
     def predict(self, params, X):
         params = self._check(params, X)
@@ -159,19 +181,28 @@ class LogisticObjective(Objective):
         self.dim = int(dim)
         self.l2 = float(l2)
 
-    def _signs(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
-        return 2.0 * y - 1.0
+    def prepare(self, y):
+        """The signs ``s = 2 y - 1``."""
+        return 2.0 * np.asarray(y, dtype=np.float64) - 1.0
 
     def loss(self, params, X, y):
         params = self._check(params, X)
-        margins = self._signs(y) * (X @ params)
+        return self._loss_at(params, self.prepare(y) * (X @ params))
+
+    def loss_grad(self, params, X, y):
+        params = self._check(params, X)
+        s = self.prepare(y)
+        margins = s * (X @ params)
+        return self._loss_at(params, margins), self._grad_at(params, X, s, margins)
+
+    def _grad(self, params, X, t):
+        return self._grad_at(params, X, t, t * (X @ params))
+
+    def _loss_at(self, params, margins):
         data = float(np.mean(np.logaddexp(0.0, -margins)))
         return data + 0.5 * self.l2 * float(np.dot(params, params))
 
-    def _grad(self, params, X, y):
-        s = self._signs(y)
-        margins = s * (X @ params)
+    def _grad_at(self, params, X, s, margins):
         # d/dm log(1 + e^{-m}) = -sigmoid(-m); exponentiate only the
         # nonpositive branch so huge margins cannot overflow
         sig = np.empty_like(margins)
@@ -223,44 +254,63 @@ class MlpObjective(Objective):
         return W1, b1, W2, b2
 
     def _forward(self, params, X):
+        """``(W2, A1, logits)``: the output weights, which the backward
+        pass reuses, the hidden activations and the logits."""
         W1, b1, W2, b2 = self._unpack(params)
         A1 = np.tanh(X @ W1 + b1)
         logits = A1 @ W2 + b2
-        return A1, logits
+        return W2, A1, logits
 
+    # np.maximum.reduce and np.add.reduce are the reductions that
+    # ndarray.max and ndarray.sum run, without the Python wrapper
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+        return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+
+    @staticmethod
+    def _data_loss(logp: np.ndarray, y: np.ndarray) -> float:
+        idx = np.asarray(y).astype(np.int64)
+        return float(-np.mean(logp[np.arange(logp.shape[0]), idx]))
 
     def loss(self, params, X, y):
         params = self._check(params, X)
-        _, logits = self._forward(params, X)
-        logp = self._log_softmax(logits)
-        idx = np.asarray(y).astype(np.int64)
-        return float(-np.mean(logp[np.arange(X.shape[0]), idx]))
+        _, _, logits = self._forward(params, X)
+        return self._data_loss(self._log_softmax(logits), y)
 
-    def _grad(self, params, X, y):
-        W1, b1, W2, b2 = self._unpack(params)
-        m = X.shape[0]
-        A1 = np.tanh(X @ W1 + b1)
-        logits = A1 @ W2 + b2
+    def loss_grad(self, params, X, y):
+        params = self._check(params, X)
+        W2, A1, logits = self._forward(params, X)
         logp = self._log_softmax(logits)
-        P = np.exp(logp)
-        idx = np.asarray(y).astype(np.int64)
-        P[np.arange(m), idx] -= 1.0
-        P /= m
+        g = self._backward(W2, X, A1, np.exp(logp), self.prepare(y))
+        return self._data_loss(logp, y), g
+
+    def prepare(self, y):
+        """One-hot rows: ``prepare(y)[..., j]`` is 1.0 where ``y == j``."""
+        return np.eye(self.classes)[np.asarray(y).astype(np.int64)]
+
+    def _grad(self, params, X, t):
+        W2, A1, logits = self._forward(params, X)
+        return self._backward(W2, X, A1, np.exp(self._log_softmax(logits)), t)
+
+    @staticmethod
+    def _backward(W2, X, A1, P, onehot):
+        """The gradient from the hidden activations ``A1`` and the softmax
+        ``P``, which it overwrites. Subtracting a one-hot row changes
+        only the target's entry, since ``p - 0.0 == p``."""
+        P -= onehot
+        P /= X.shape[0]
         gW2 = A1.T @ P
-        gb2 = P.sum(axis=0)
+        gb2 = np.add.reduce(P, axis=0)
         dA1 = P @ W2.T
         dZ1 = dA1 * (1.0 - A1 * A1)
         gW1 = X.T @ dZ1
-        gb1 = dZ1.sum(axis=0)
+        gb1 = np.add.reduce(dZ1, axis=0)
         return np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
 
     def predict(self, params, X):
         params = self._check(params, X)
-        _, logits = self._forward(params, X)
+        _, _, logits = self._forward(params, X)
         return logits.argmax(axis=1)
 
     def accuracy(self, params, X, y):

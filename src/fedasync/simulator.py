@@ -214,8 +214,7 @@ def make_record(problem: Problem, state: ServerState, sim_time: float) -> Metric
     training split, accuracy on the held-out split; epoch, gradients,
     ``alpha_t`` and staleness as ``state`` holds them."""
     obj, params = problem.objective, state.params
-    loss = obj.loss(params, problem.train.features, problem.train.targets)
-    g = obj.grad(params, problem.train.features, problem.train.targets)
+    loss, g = obj.loss_grad(params, problem.train.features, problem.train.targets)
     try:
         acc = obj.accuracy(params, problem.eval_set.features, problem.eval_set.targets)
     except NotImplementedError:

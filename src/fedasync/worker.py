@@ -101,6 +101,8 @@ def local_train(
     one step-count draw, then one minibatch draw per step (none when
     ``batch_size`` is None), made as one ``sample_minibatch(...,
     steps=steps)`` call that holds ``steps * batch_size * dim`` floats.
+    The targets of all the steps are prepared for the gradient kernel
+    (``objective.prepare``) in one call.
 
     The anchor and shard are validated once and finiteness is checked
     once, on the final iterate; a non-finite result is replayed step by
@@ -116,9 +118,10 @@ def local_train(
     anchor = objective._check(anchor, shard.features)
     steps = choose_steps(cfg, rng)
     if cfg.batch_size is None:
-        batches = [(shard.features, shard.targets)] * steps
+        batches = [(shard.features, objective.prepare(shard.targets))] * steps
     else:
-        batches = list(zip(*sample_minibatch(shard, cfg.batch_size, rng, steps)))
+        X, y = sample_minibatch(shard, cfg.batch_size, rng, steps)
+        batches = list(zip(X, objective.prepare(y)))
     x = _descend(objective, anchor, batches, cfg, checked=False)
     # Exact without per-step checks: a non-finite gradient makes the
     # iterate non-finite in the same step (x -= gamma * g, and 0 * inf
@@ -137,7 +140,8 @@ def _descend(
     cfg: WorkerConfig,
     checked: bool,
 ) -> np.ndarray:
-    """The local SGD steps from ``anchor``, one per ``(X, y)`` batch.
+    """The local SGD steps from ``anchor``, one per ``(X, t)`` batch of
+    features and prepared targets.
 
     ``checked`` raises ``DivergenceError`` at the first step whose
     gradient or iterate is not finite; the caller has validated the
@@ -145,8 +149,8 @@ def _descend(
     """
     grad, gamma, rho = objective._grad, cfg.gamma, cfg.rho
     x = anchor.copy()
-    for h, (X, y) in enumerate(batches):
-        g = grad(x, X, y)
+    for h, (X, t) in enumerate(batches):
+        g = grad(x, X, t)
         if rho != 0.0:
             g = g + rho * (x - anchor)
         if checked and not np.isfinite(g).all():

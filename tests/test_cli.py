@@ -21,6 +21,7 @@ from fedasync.cli import (
     ConfigError,
     RunSpec,
     _mean_rows,
+    build_parser,
     gradients_to_threshold,
     main,
     parse_config,
@@ -319,6 +320,21 @@ class TestCmdRun:
         assert not (out / "summary.csv").exists()
         assert "# run-failed:" in (out / "rep000.csv").read_text()
 
+    def test_divergence_writes_only_its_failure_line(self, tmp_path):
+        # numpy's overflow warnings used to come first, three of them
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedasync", "run", "--out", str(tmp_path / "run"),
+             "algorithm=sgd", "gamma=1e40", "batch_size=full", "task=quadratic",
+             "n_samples=40", "dim=4", "repeats=1"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "rep 0: FAILED: run failed at epoch 7: non-finite value at local step 0"
+        ]
+
     def test_jsonl_sidecar(self, tmp_path):
         out = tmp_path / "run"
         rc = main(
@@ -492,6 +508,39 @@ class TestGenData:
         assert rc == 2
         assert "refusing" in capsys.readouterr().err
         assert out.read_text() == "precious\n"
+
+
+class TestParser:
+    """``main`` builds the argparse tree once and reuses it."""
+
+    def test_calls_in_a_row_with_different_subcommands(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        assert main(["gen-data", "task=logistic", "n_samples=60", "--out", str(data)]) == 0
+        assert main(["run", "--out", str(tmp_path / "a"), "algorithm=sgd", "repeats=1"] + SMALL) == 0
+        assert main(["run", "--out", str(tmp_path / "b"), "algorithm=fedavg", "k=2", "repeats=1"]
+                    + SMALL) == 0
+        summaries = [str(tmp_path / d / "summary.csv") for d in "ab"]
+        assert main(["compare", *summaries]) == 0
+        assert main(["gen-data", "--out", str(data)]) == 2  # still refuses an existing file
+        capsys.readouterr()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "algorithm=sgd"])
+            assert exc.value.code == 2
+            assert "the following arguments are required: --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["run", "--help"], ["compare", "-h"], ["worker", "--help"]]
+    )
+    def test_help_matches_a_fresh_parser(self, capsys, argv):
+        texts = []
+        for parse in (main, build_parser().parse_args, main):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2]
+        assert texts[0].startswith("usage: fedasync")
 
 
 class TestServeWorkerCommands:
@@ -728,8 +777,8 @@ class TestServeWorkerCommands:
                 worker.kill()
                 raise
         assert worker.returncode == 1
-        assert "Traceback" not in err  # numpy's overflow warnings may come first
-        assert err.splitlines()[-1].startswith("worker 0: FAILED: non-finite value at local step ")
+        [line] = err.splitlines()  # no traceback, and no numpy overflow warnings
+        assert line.startswith("worker 0: FAILED: non-finite value at local step ")
 
     @pytest.mark.parametrize("command", ["serve", "worker"])
     def test_port_out_of_range_is_refused_in_one_line(self, tmp_path, capsys, command):

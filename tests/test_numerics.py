@@ -3,7 +3,10 @@ the three objective families."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedasync.data import gen_classification, gen_regression, partition_non_iid
 from fedasync.numerics import (
     LogisticObjective,
     MlpObjective,
@@ -235,3 +238,88 @@ class TestMlpObjective:
             MlpObjective(0, 3, 2)
         with pytest.raises(ValueError):
             MlpObjective(2, 3, 1)
+
+
+_OBJECTIVES = {
+    "quadratic": lambda: QuadraticObjective(4),
+    "logistic": lambda: LogisticObjective(4, l2=0.01),
+    "mlp": lambda: MlpObjective(4, 5, 3),
+}
+
+
+def _targets(kind, rng, shape):
+    if kind == "quadratic":
+        return rng.standard_normal(shape)
+    return rng.integers(0, 2 if kind == "logistic" else 3, size=shape)
+
+
+def _mlp_grad_by_index(obj, params, X, y):
+    """The MLP gradient with per-batch label constants: the softmax's
+    target entries found by fancy indexing, ``ndarray.max``/``sum`` for
+    the reductions."""
+    W1, b1, W2, b2 = obj._unpack(params)
+    A1 = np.tanh(X @ W1 + b1)
+    logits = A1 @ W2 + b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    P = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+    P[np.arange(X.shape[0]), np.asarray(y).astype(np.int64)] -= 1.0
+    P /= X.shape[0]
+    dZ1 = (P @ W2.T) * (1.0 - A1 * A1)
+    return np.concatenate([(X.T @ dZ1).ravel(), dZ1.sum(axis=0), (A1.T @ P).ravel(), P.sum(axis=0)])
+
+
+class TestPreparedTargets:
+    """``loss_grad`` and ``_grad`` on prepared targets are the same IEEE
+    operations as ``loss`` and ``grad``: every result equal bit for bit."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(sorted(_OBJECTIVES)),
+        m=st.integers(1, 40),
+        scale=st.sampled_from([0.0, 0.1, 1.0, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_loss_grad_is_loss_and_grad(self, kind, m, scale, seed):
+        obj = _OBJECTIVES[kind]()
+        rng = np.random.default_rng(seed)
+        p = rng.standard_normal(obj.dim) * scale
+        X = rng.standard_normal((m, 4))
+        y = _targets(kind, rng, m)
+        loss, g = obj.loss_grad(p, X, y)
+        assert np.float64(loss).tobytes() == np.float64(obj.loss(p, X, y)).tobytes()
+        assert g.tobytes() == obj.grad(p, X, y).tobytes()
+        if kind == "mlp":
+            assert g.tobytes() == _mlp_grad_by_index(obj, p, X, y).tobytes()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(sorted(_OBJECTIVES)),
+        steps=st.integers(1, 6),
+        batch=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_slices_of_a_task(self, kind, steps, batch, seed):
+        # local_train prepares a (steps, batch) target array once and
+        # hands the gradient kernel one slice per step
+        obj = _OBJECTIVES[kind]()
+        rng = np.random.default_rng(seed)
+        p = rng.standard_normal(obj.dim)
+        X = rng.standard_normal((steps, batch, 4))
+        y = _targets(kind, rng, (steps, batch))
+        t = obj.prepare(y)
+        for h in range(steps):
+            assert obj._grad(p, X[h], t[h]).tobytes() == obj.grad(p, X[h], y[h]).tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(_OBJECTIVES))
+    def test_full_batch_shard(self, kind):
+        # batch_size=full: the shard's targets are prepared once per task
+        if kind == "quadratic":
+            ds = gen_regression(60, 4, 0.1, seed=3)
+        else:
+            ds = gen_classification(60, 4, 2 if kind == "logistic" else 3, 2.0, seed=3)
+        shard = partition_non_iid(ds, 2, 2, seed=3)[0]
+        obj = _OBJECTIVES[kind]()
+        p = np.random.default_rng(4).standard_normal(obj.dim)
+        t = obj.prepare(shard.targets)
+        got = obj._grad(p, shard.features, t)
+        assert got.tobytes() == obj.grad(p, shard.features, shard.targets).tobytes()
