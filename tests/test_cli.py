@@ -516,9 +516,9 @@ class TestParser:
     def test_calls_in_a_row_with_different_subcommands(self, tmp_path, capsys):
         data = tmp_path / "data.txt"
         assert main(["gen-data", "task=logistic", "n_samples=60", "--out", str(data)]) == 0
-        assert main(["run", "--out", str(tmp_path / "a"), "algorithm=sgd", "repeats=1"] + SMALL) == 0
-        assert main(["run", "--out", str(tmp_path / "b"), "algorithm=fedavg", "k=2", "repeats=1"]
-                    + SMALL) == 0
+        for name, algorithm in (("a", ["algorithm=sgd"]), ("b", ["algorithm=fedavg", "k=2"])):
+            argv = ["run", "--out", str(tmp_path / name), *algorithm, "repeats=1", *SMALL]
+            assert main(argv) == 0
         summaries = [str(tmp_path / d / "summary.csv") for d in "ab"]
         assert main(["compare", *summaries]) == 0
         assert main(["gen-data", "--out", str(data)]) == 2  # still refuses an existing file

@@ -265,7 +265,8 @@ def _mlp_grad_by_index(obj, params, X, y):
     P[np.arange(X.shape[0]), np.asarray(y).astype(np.int64)] -= 1.0
     P /= X.shape[0]
     dZ1 = (P @ W2.T) * (1.0 - A1 * A1)
-    return np.concatenate([(X.T @ dZ1).ravel(), dZ1.sum(axis=0), (A1.T @ P).ravel(), P.sum(axis=0)])
+    gW1, gW2 = X.T @ dZ1, A1.T @ P
+    return np.concatenate([gW1.ravel(), dZ1.sum(axis=0), gW2.ravel(), P.sum(axis=0)])
 
 
 class TestPreparedTargets:
