@@ -367,6 +367,9 @@ def cmd_run(args) -> int:
     except FileExistsError:
         print(f"refusing to write into existing directory {args.out!r}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"cannot create directory {args.out!r}: {exc.strerror}", file=sys.stderr)
+        return 2
 
     all_records: list[list[MetricsRecord]] = []
     failed = False
@@ -414,6 +417,10 @@ _OBJECTIVE_KEYS = (*_DATA_KEYS, "hidden", "eval_frac")
 
 
 def cmd_compare(args) -> int:
+    rule = rule_of(RunSpec, "threshold_frac")
+    if not rule.holds(args.threshold):
+        print(f"--threshold {rule.text}, got {args.threshold!r}", file=sys.stderr)
+        return 2
     loaded = []
     for path in args.summaries:
         try:
@@ -494,7 +501,12 @@ def cmd_serve(args) -> int:
     except OSError as exc:  # the port is taken, or the host is not ours
         print(f"cannot listen on {host}:{port}: {exc}", file=sys.stderr)
         return 1
-    os.makedirs(args.out)
+    try:
+        os.makedirs(args.out)
+    except OSError as exc:
+        server.close()
+        print(f"cannot create directory {args.out!r}: {exc.strerror}", file=sys.stderr)
+        return 2
     print(f"listening {bound_host} {bound_port}", flush=True)
     try:
         result = server.wait(timeout=args.timeout)
@@ -517,6 +529,10 @@ def cmd_worker(args) -> int:
         host, port = _parse_hostport(args.connect)
     except ValueError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    n = spec.cfg.n_workers
+    if not 0 <= args.worker_id < n:
+        print(f"--worker-id must be in 0..{n - 1}, got {args.worker_id}", file=sys.stderr)
         return 2
     try:
         pushes, accepted = worker_loop((host, port), spec.cfg, args.worker_id)
@@ -544,7 +560,11 @@ def cmd_gen_data(args) -> int:
         print(f"refusing to overwrite existing file {args.out!r}", file=sys.stderr)
         return 2
     ds = generate_dataset(spec.cfg)
-    save_dataset(ds, args.out)
+    try:
+        save_dataset(ds, args.out)
+    except OSError as exc:
+        print(f"cannot write {args.out!r}: {exc.strerror}", file=sys.stderr)
+        return 2
     print(f"wrote {len(ds)} samples to {args.out}")
     return 0
 

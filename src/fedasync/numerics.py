@@ -3,7 +3,10 @@
 Parameter vectors are plain 1-D float64 numpy arrays. Every objective
 exposes the same entry points (``loss``, ``grad``, ``loss_grad``,
 ``predict``, ``accuracy``) over a feature matrix ``X`` and a target vector
-``y`` so the training loops never branch on the model family.
+``y`` so the training loops never branch on the model family. Each
+objective writes four kernels (``prepare``, ``_grad``, ``loss_grad`` and
+``predict``); :class:`Objective` derives the other three (``loss``,
+``grad`` and ``accuracy``) from them once.
 """
 
 from __future__ import annotations
@@ -78,6 +81,10 @@ def finite_diff_grad(
 class Objective(ABC):
     """Differentiable objective over (features, targets) batches.
 
+    A subclass writes :meth:`prepare`, :meth:`_grad`, :meth:`loss_grad`
+    and :meth:`predict`; :meth:`loss`, :meth:`grad` and :meth:`accuracy`
+    are derived from them here.
+
     Attributes
     ----------
     dim : int
@@ -86,9 +93,9 @@ class Objective(ABC):
 
     dim: int
 
-    @abstractmethod
     def loss(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
         """Mean loss of ``params`` on the batch."""
+        return self.loss_grad(params, X, y)[0]
 
     def grad(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Gradient of :meth:`loss` with respect to ``params``."""
@@ -98,8 +105,8 @@ class Objective(ABC):
     def loss_grad(
         self, params: np.ndarray, X: np.ndarray, y: np.ndarray
     ) -> tuple[float, np.ndarray]:
-        """``(loss(params, X, y), grad(params, X, y))``, bit for bit, from
-        one forward pass."""
+        """The mean loss and ``grad(params, X, y)``, bit for bit, from one
+        forward pass."""
 
     @abstractmethod
     def prepare(self, y: np.ndarray) -> np.ndarray:
@@ -117,9 +124,10 @@ class Objective(ABC):
     def predict(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Point predictions for each row of ``X``."""
 
-    def accuracy(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        """Fraction of exact prediction matches (classification only)."""
-        raise NotImplementedError(f"{type(self).__name__} has no accuracy metric")
+    def accuracy(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float | None:
+        """Fraction of exact prediction matches; None for regression."""
+        pred = self.predict(params, X)
+        return float(np.mean(pred == np.asarray(y).astype(np.int64)))
 
     def _check(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
         params = _as_params(params)
@@ -144,11 +152,6 @@ class QuadraticObjective(Objective):
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
 
-    def loss(self, params, X, y):
-        params = self._check(params, X)
-        r = X @ params - y
-        return float(0.5 * np.dot(r, r) / X.shape[0])
-
     def loss_grad(self, params, X, y):
         params = self._check(params, X)
         r = X @ params - y
@@ -163,6 +166,9 @@ class QuadraticObjective(Objective):
     def predict(self, params, X):
         params = self._check(params, X)
         return X @ params
+
+    def accuracy(self, params, X, y):
+        return None
 
 
 class LogisticObjective(Objective):
@@ -185,22 +191,16 @@ class LogisticObjective(Objective):
         """The signs ``s = 2 y - 1``."""
         return 2.0 * np.asarray(y, dtype=np.float64) - 1.0
 
-    def loss(self, params, X, y):
-        params = self._check(params, X)
-        return self._loss_at(params, self.prepare(y) * (X @ params))
-
     def loss_grad(self, params, X, y):
         params = self._check(params, X)
         s = self.prepare(y)
         margins = s * (X @ params)
-        return self._loss_at(params, margins), self._grad_at(params, X, s, margins)
+        data = float(np.mean(np.logaddexp(0.0, -margins)))
+        loss = data + 0.5 * self.l2 * float(np.dot(params, params))
+        return loss, self._grad_at(params, X, s, margins)
 
     def _grad(self, params, X, t):
         return self._grad_at(params, X, t, t * (X @ params))
-
-    def _loss_at(self, params, margins):
-        data = float(np.mean(np.logaddexp(0.0, -margins)))
-        return data + 0.5 * self.l2 * float(np.dot(params, params))
 
     def _grad_at(self, params, X, s, margins):
         # d/dm log(1 + e^{-m}) = -sigmoid(-m); exponentiate only the
@@ -215,10 +215,6 @@ class LogisticObjective(Objective):
     def predict(self, params, X):
         params = self._check(params, X)
         return (X @ params > 0.0).astype(np.int64)
-
-    def accuracy(self, params, X, y):
-        pred = self.predict(params, X)
-        return float(np.mean(pred == np.asarray(y).astype(np.int64)))
 
 
 class MlpObjective(Objective):
@@ -268,22 +264,13 @@ class MlpObjective(Objective):
         shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
         return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
-    @staticmethod
-    def _data_loss(logp: np.ndarray, y: np.ndarray) -> float:
-        idx = np.asarray(y).astype(np.int64)
-        return float(-np.mean(logp[np.arange(logp.shape[0]), idx]))
-
-    def loss(self, params, X, y):
-        params = self._check(params, X)
-        _, _, logits = self._forward(params, X)
-        return self._data_loss(self._log_softmax(logits), y)
-
     def loss_grad(self, params, X, y):
         params = self._check(params, X)
         W2, A1, logits = self._forward(params, X)
         logp = self._log_softmax(logits)
-        g = self._backward(W2, X, A1, np.exp(logp), self.prepare(y))
-        return self._data_loss(logp, y), g
+        idx = np.asarray(y).astype(np.int64)
+        loss = float(-np.mean(logp[np.arange(logp.shape[0]), idx]))
+        return loss, self._backward(W2, X, A1, np.exp(logp), self.prepare(y))
 
     def prepare(self, y):
         """One-hot rows: ``prepare(y)[..., j]`` is 1.0 where ``y == j``."""
@@ -312,7 +299,3 @@ class MlpObjective(Objective):
         params = self._check(params, X)
         _, _, logits = self._forward(params, X)
         return logits.argmax(axis=1)
-
-    def accuracy(self, params, X, y):
-        pred = self.predict(params, X)
-        return float(np.mean(pred == np.asarray(y).astype(np.int64)))

@@ -215,16 +215,12 @@ def make_record(problem: Problem, state: ServerState, sim_time: float) -> Metric
     ``alpha_t`` and staleness as ``state`` holds them."""
     obj, params = problem.objective, state.params
     loss, g = obj.loss_grad(params, problem.train.features, problem.train.targets)
-    try:
-        acc = obj.accuracy(params, problem.eval_set.features, problem.eval_set.targets)
-    except NotImplementedError:
-        acc = None
     return MetricsRecord(
         epoch=state.epoch,
         gradients=state.n_gradients,
         loss=loss,
         grad_norm_sq=float(np.dot(g, g)),
-        accuracy=acc,
+        accuracy=obj.accuracy(params, problem.eval_set.features, problem.eval_set.targets),
         alpha_t=state.last_alpha,
         staleness=state.last_staleness,
         sim_time=sim_time,

@@ -708,9 +708,10 @@ class TransportServer:
         except DivergenceError as exc:
             raise RunFailure(session.run.records, session.state.epoch, exc) from exc
         finally:
-            self._teardown()
+            self.close()
 
-    def _teardown(self) -> None:
+    def close(self) -> None:
+        """Close every socket and the selector; ``wait`` ends with this."""
         for peer in [*self.session.conns, *self._locals]:
             peer.sock.close()
         if self._listener is not None:

@@ -1,5 +1,6 @@
 """End-to-end tests for the experiment command line."""
 
+import gc
 import re
 import resource
 import socket
@@ -243,6 +244,14 @@ class TestCmdRun:
         assert rc == 2
         assert "refusing" in capsys.readouterr().err
 
+    def test_out_that_cannot_be_created(self, tmp_path, capsys):
+        # a path under a file, which os.makedirs cannot make
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+        assert main(["run", "algorithm=sgd", *SMALL, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"cannot create directory {str(out)!r}" in err
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         rc = main(["run", "algorithm=sgd", "alpha=2.0", "--out", str(tmp_path / "x")])
         assert rc == 2
@@ -440,6 +449,17 @@ class TestCmdCompare:
         assert rc == 2
         assert f"cannot load {summary}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["-1", "0", "nan", "inf"])
+    def test_threshold_out_of_bound_refused(self, tmp_path, capsys, threshold):
+        # held to the bound on run's threshold_frac
+        summary = self._small_run(tmp_path, "a")
+        capsys.readouterr()
+        assert main(["compare", str(summary), "--threshold", threshold]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--threshold must be finite and > 0" in captured.err
+
     def test_fedasync_beats_fedavg_per_gradient(self, tmp_path, capsys):
         # paired desk-scale comparison at the quadratic defaults: the
         # asynchronous run should hit the 10% loss threshold with no
@@ -508,6 +528,13 @@ class TestGenData:
         assert rc == 2
         assert "refusing" in capsys.readouterr().err
         assert out.read_text() == "precious\n"
+
+    def test_out_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "data.txt"
+        assert main(["gen-data", "n_samples=20", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"cannot write {str(out)!r}" in err
+        assert not out.parent.exists()
 
 
 class TestParser:
@@ -705,6 +732,32 @@ class TestServeWorkerCommands:
         assert loop["result"] == (5, 5)
         assert srv.returncode == 0
         assert "served 5 epochs" in rest
+
+    @pytest.mark.parametrize("worker_id", ["5", "-1"])
+    def test_worker_id_out_of_range_is_refused_before_connecting(self, capsys, worker_id):
+        # refused before the problem is built or a connection is tried
+        with socket.socket() as probe:  # a port where nothing listens
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        argv = ["worker", "--connect", f"127.0.0.1:{port}", "--worker-id", worker_id,
+                "task=quadratic", "n_samples=80", "dim=5", "n_workers=2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"--worker-id must be in 0..1, got {worker_id}\n"
+
+    def test_serve_out_that_cannot_be_created_closes_the_listener(self, tmp_path, capsys):
+        # the directory is made after the bind, so the listener must be
+        # closed on the way out (an unclosed socket warns when collected)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+        argv = ["serve", "--bind", "127.0.0.1:0", "--out", str(out), "--timeout", "0.5",
+                "task=quadratic", "n_samples=80", "dim=5"]
+        assert main(argv) == 2
+        gc.collect()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"cannot create directory {str(out)!r}" in captured.err
 
     def test_worker_reports_a_refused_connection_in_one_line(self, capsys):
         with socket.socket() as probe:  # a port that was bound, then closed
