@@ -447,6 +447,14 @@ def cmd_compare(args) -> int:
             )
             return 2
 
+    if args.out:
+        merged = ([path] + [cell(row[n]) for n in FIELDS] for path, _, rows in loaded for row in rows)
+        try:
+            write_csv(args.out, merged, columns=["run", *FIELDS])
+        except OSError as exc:
+            print(f"cannot write {args.out!r}: {exc.strerror}", file=sys.stderr)
+            return 2
+
     print(f"{'run':40s} {'final_loss':>12s} {'final_acc':>10s} {'gradients':>11s} {'to_threshold':>13s}")
     for path, header, rows in loaded:
         final = rows[-1]
@@ -459,10 +467,6 @@ def cmd_compare(args) -> int:
         )
 
     if args.out:
-        merged = (
-            [path] + [cell(row[n]) for n in FIELDS] for path, _, rows in loaded for row in rows
-        )
-        write_csv(args.out, merged, columns=["run", *FIELDS])
         print(f"merged table written to {args.out}")
     return 0
 

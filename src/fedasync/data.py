@@ -222,26 +222,24 @@ def partition_non_iid(
     return shards
 
 
-def sample_minibatch(
-    shard: Shard, batch_size: int, rng: np.random.Generator, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``steps`` uniform with-replacement minibatches from one shard, as
-    ``(features, targets)`` with a leading axis of length ``steps``.
-
-    Draw law: a single ``rng.integers(0, len(shard), size=batch_size)``
-    call, so one batch costs exactly one generator invocation.
-
-    The ``steps`` batches are drawn by one ``rng.integers(0, len(shard),
-    size=(steps, batch_size))`` call. Row ``h`` and the stream position
-    afterwards equal those of ``steps`` successive single-batch draws, so
-    the draw law per batch is unchanged. The gather holds ``steps *
-    batch_size`` feature rows in memory.
-    """
-    if len(shard) == 0:
+def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator, steps: int) -> np.ndarray:
+    """Row indices, shape ``(steps, batch_size)``, of ``steps`` uniform
+    with-replacement minibatches from a shard of ``n`` rows. Draw law: one
+    ``rng.integers(0, n, size=(steps, batch_size))`` call, which draws row
+    ``h`` and leaves the stream as ``steps`` single-batch calls would."""
+    if n == 0:
         raise ValueError("cannot sample from an empty shard")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    idx = rng.integers(0, len(shard), size=(steps, batch_size))
+    return rng.integers(0, n, size=(steps, batch_size))
+
+
+def sample_minibatch(
+    shard: Shard, batch_size: int, rng: np.random.Generator, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The minibatches of :func:`minibatch_indices`, gathered as
+    ``(features, targets)`` with a leading axis of length ``steps``."""
+    idx = minibatch_indices(len(shard), batch_size, rng, steps)
     return shard.features[idx], shard.targets[idx]
 
 

@@ -6,7 +6,8 @@ exposes the same entry points (``loss``, ``grad``, ``loss_grad``,
 ``y`` so the training loops never branch on the model family. Each
 objective writes four kernels (``prepare``, ``_grad``, ``loss_grad`` and
 ``predict``); :class:`Objective` derives the other three (``loss``,
-``grad`` and ``accuracy``) from them once.
+``grad`` and ``accuracy``) from them once. The MLP kernel works in place
+on the temporaries it makes, never on its inputs.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ class Objective(ABC):
     def _grad(self, params: np.ndarray, X: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The gradient kernel without validation: ``params`` must already
         have passed :meth:`_check` against a feature matrix of ``X``'s width,
-        and ``t`` is ``prepare(y)``."""
+        and ``t`` is ``prepare(y)``. Returns a new array, the caller's to
+        overwrite."""
 
     @abstractmethod
     def predict(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -253,16 +255,21 @@ class MlpObjective(Objective):
         """``(W2, A1, logits)``: the output weights, which the backward
         pass reuses, the hidden activations and the logits."""
         W1, b1, W2, b2 = self._unpack(params)
-        A1 = np.tanh(X @ W1 + b1)
-        logits = A1 @ W2 + b2
+        A1 = X @ W1
+        np.tanh(np.add(A1, b1, out=A1), out=A1)
+        logits = A1 @ W2
+        logits += b2
         return W2, A1, logits
 
-    # np.maximum.reduce and np.add.reduce are the reductions that
-    # ndarray.max and ndarray.sum run, without the Python wrapper
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-        return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+        """Overwrite ``logits`` with its row-wise log-softmax. The row max
+        folds the columns of a transposed copy, fast for few columns. Only
+        in a row holding both +0 and -0 can it keep another zero than
+        ``maximum.reduce(axis=1)``, and there no output shows which."""
+        logits -= np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)[:, None]
+        logits -= np.log(np.add.reduce(np.exp(logits), axis=1, keepdims=True))
+        return logits
 
     def loss_grad(self, params, X, y):
         params = self._check(params, X)
@@ -270,7 +277,7 @@ class MlpObjective(Objective):
         logp = self._log_softmax(logits)
         idx = np.asarray(y).astype(np.int64)
         loss = float(-np.mean(logp[np.arange(logp.shape[0]), idx]))
-        return loss, self._backward(W2, X, A1, np.exp(logp), self.prepare(y))
+        return loss, self._backward(W2, X, A1, np.exp(logp, out=logp), self.prepare(y))
 
     def prepare(self, y):
         """One-hot rows: ``prepare(y)[..., j]`` is 1.0 where ``y == j``."""
@@ -278,22 +285,24 @@ class MlpObjective(Objective):
 
     def _grad(self, params, X, t):
         W2, A1, logits = self._forward(params, X)
-        return self._backward(W2, X, A1, np.exp(self._log_softmax(logits)), t)
+        return self._backward(W2, X, A1, np.exp(self._log_softmax(logits), out=logits), t)
 
-    @staticmethod
-    def _backward(W2, X, A1, P, onehot):
+    def _backward(self, W2, X, A1, P, onehot):
         """The gradient from the hidden activations ``A1`` and the softmax
-        ``P``, which it overwrites. Subtracting a one-hot row changes
-        only the target's entry, since ``p - 0.0 == p``."""
+        ``P``, both of which it overwrites. Subtracting a one-hot row
+        changes only the target's entry, since ``p - 0.0 == p``."""
         P -= onehot
         P /= X.shape[0]
-        gW2 = A1.T @ P
-        gb2 = np.add.reduce(P, axis=0)
-        dA1 = P @ W2.T
-        dZ1 = dA1 * (1.0 - A1 * A1)
-        gW1 = X.T @ dZ1
-        gb1 = np.add.reduce(dZ1, axis=0)
-        return np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
+        g = np.empty(self.dim)
+        gW1, gb1, gW2, gb2 = self._unpack(g)
+        np.matmul(A1.T, P, out=gW2)
+        np.add.reduce(P, axis=0, out=gb2)
+        dZ1 = P @ W2.T
+        A1 *= A1
+        dZ1 *= np.subtract(1.0, A1, out=A1)
+        np.matmul(X.T, dZ1, out=gW1)
+        np.add.reduce(dZ1, axis=0, out=gb1)
+        return g
 
     def predict(self, params, X):
         params = self._check(params, X)

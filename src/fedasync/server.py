@@ -121,15 +121,25 @@ class ServerState:
         return self.epoch, self.params.copy()
 
 
+def admit(state: ServerState, cfg: ServerConfig, tau: int) -> int:
+    """The staleness rule: the staleness ``epoch - tau`` of a push pulled
+    at epoch ``tau``. Above ``max_staleness`` the push is rejected: counted
+    in ``n_rejected`` and raised as :class:`StaleUpdateError`."""
+    staleness = state.epoch - tau
+    if staleness > cfg.max_staleness:
+        state.n_rejected += 1
+        raise StaleUpdateError(staleness, cfg.max_staleness)
+    return staleness
+
+
 def apply_update(state: ServerState, cfg: ServerConfig, upd: LocalUpdate) -> float:
     """Admit one update; returns the mixing weight actually used.
 
     On success the model moves to ``(1 - a_t) * x + a_t * x_new`` with
     ``a_t = staleness_weight(cfg, epoch - tau)`` and the epoch
-    advances by one. Updates staler than ``max_staleness`` raise
-    :class:`StaleUpdateError` after bumping the rejection counter;
-    structurally bad updates raise :class:`ProtocolError`. Neither
-    failure touches the model.
+    advances by one. Updates staler than ``max_staleness`` are rejected
+    by :func:`admit`; structurally bad updates raise
+    :class:`ProtocolError`. Neither failure touches the model.
     """
     if upd.tau < 0:
         raise ProtocolError(f"negative pull epoch {upd.tau}")
@@ -146,10 +156,7 @@ def apply_update(state: ServerState, cfg: ServerConfig, upd: LocalUpdate) -> flo
         raise ProtocolError("update contains non-finite parameters")
     if upd.local_iters < 1:
         raise ProtocolError(f"update claims {upd.local_iters} local steps")
-    staleness = state.epoch - upd.tau
-    if staleness > cfg.max_staleness:
-        state.n_rejected += 1
-        raise StaleUpdateError(staleness, cfg.max_staleness)
+    staleness = admit(state, cfg, upd.tau)
     alpha_t = staleness_weight(cfg, staleness)
     state.params = mix(state.params, upd.params, alpha_t)
     state.epoch += 1

@@ -54,10 +54,11 @@ from fedasync.server import (
     ServerConfig,
     ServerState,
     StaleUpdateError,
+    admit,
     apply_update,
     plan_triggers,
 )
-from fedasync.worker import DivergenceError, WorkerConfig, local_train
+from fedasync.worker import DivergenceError, WorkerConfig, local_train, skip_task
 
 TASKS = ("quadratic", "logistic", "mlp")
 
@@ -321,10 +322,13 @@ def run_fedasync_latency(
     """Discrete-event mode.
 
     Dispatch keeps at most ``max_staleness + 1`` tasks in flight. A task
-    pulls and trains at dispatch time and its push lands after the drawn
-    delay; pushes apply in ``(time, sequence)`` order. A push staler than
-    the bound is dropped (counted on the server) and the worker is simply
-    dispatched again, so rejected work never creates an epoch.
+    pulls at dispatch and its push lands after the drawn delay, in
+    ``(time, sequence)`` order. A push the staleness rule (:func:`admit`)
+    accepts is trained then, from its pull, and applied; one that diverges
+    fails the run at that epoch. A staler push is rejected (counted on the
+    server) and only makes its task's draws (:func:`skip_task`); the
+    worker is dispatched again. A worker has one task in flight at most,
+    so nothing draws from its stream between dispatch and landing.
     """
     if problem is None:
         problem = build_problem(cfg)
@@ -334,7 +338,7 @@ def run_fedasync_latency(
     apply_log: list[tuple[int, int]] = []
 
     def schedule():
-        heap: list[tuple[float, int, int, object]] = []  # the tasks in flight
+        heap: list[tuple[float, int, int, tuple[int, np.ndarray]]] = []  # pulls in flight
         seq = itertools.count()
         idle = set(range(cfg.n_workers))
         cursor = 0
@@ -346,28 +350,22 @@ def run_fedasync_latency(
             )
             for w in chosen:
                 idle.discard(w)
-                tau, params = state.pull()
-                upd = local_train(
-                    problem.objective,
-                    problem.shards[w],
-                    params,
-                    tau,
-                    cfg.worker,
-                    worker_streams[w],
-                    worker_id=w,
-                )
                 done = now + cfg.delay.draw(w, delay_streams[w])
-                heapq.heappush(heap, (done, next(seq), w, upd))
+                heapq.heappush(heap, (done, next(seq), w, state.pull()))
 
         dispatch(0.0)
         while heap and state.epoch < cfg.total_epochs:
-            now, _, w, upd = heapq.heappop(heap)
+            now, _, w, (tau, params) = heapq.heappop(heap)
             idle.add(w)
+            shard, stream = problem.shards[w], worker_streams[w]
             try:
-                apply_update(state, cfg.server, upd)
+                admit(state, cfg.server, tau)
             except StaleUpdateError:
+                skip_task(shard, cfg.worker, stream)
                 dispatch(now)
                 continue
+            upd = local_train(problem.objective, shard, params, tau, cfg.worker, stream, w)
+            apply_update(state, cfg.server, upd)
             apply_log.append((w, state.last_staleness))
             yield now
             if state.epoch < cfg.total_epochs:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedasync.data import Shard, sample_minibatch
+from fedasync.data import Shard, minibatch_indices, sample_minibatch
 from fedasync.numerics import Objective
 from fedasync.rules import FINITE_NONNEGATIVE, at_least, optional, validate
 
@@ -85,6 +85,15 @@ def choose_steps(cfg: WorkerConfig, rng: np.random.Generator) -> int:
     return int(rng.integers(cfg.h_min, cfg.h_max + 1))
 
 
+def skip_task(shard: Shard, cfg: WorkerConfig, rng: np.random.Generator) -> None:
+    """Advance ``rng`` past exactly the draws :func:`local_train` makes on
+    ``shard``, the step count and then the minibatch indices, and train
+    nothing: the task of a push that is rejected when it lands."""
+    steps = choose_steps(cfg, rng)
+    if cfg.batch_size is not None:
+        minibatch_indices(len(shard), cfg.batch_size, rng, steps)
+
+
 def local_train(
     objective: Objective,
     shard: Shard,
@@ -100,9 +109,9 @@ def local_train(
     anchor staying fixed at the pulled model for the whole run. Draw law:
     one step-count draw, then one minibatch draw per step (none when
     ``batch_size`` is None), made as one ``sample_minibatch(...,
-    steps=steps)`` call that holds ``steps * batch_size * dim`` floats.
-    The targets of all the steps are prepared for the gradient kernel
-    (``objective.prepare``) in one call.
+    steps=steps)`` call that holds ``steps * batch_size * dim`` floats;
+    :func:`skip_task` makes the same draws. The targets of all the steps
+    are prepared for the gradient kernel (``objective.prepare``) at once.
 
     The anchor and shard are validated once and finiteness is checked
     once, on the final iterate; a non-finite result is replayed step by
@@ -152,7 +161,7 @@ def _descend(
     for h, (X, t) in enumerate(batches):
         g = grad(x, X, t)
         if rho != 0.0:
-            g = g + rho * (x - anchor)
+            g += rho * (x - anchor)
         if checked and not np.isfinite(g).all():
             raise DivergenceError(h)
         x -= gamma * g

@@ -460,6 +460,16 @@ class TestCmdCompare:
         assert captured.err.count("\n") == 1
         assert "--threshold must be finite and > 0" in captured.err
 
+    def test_out_in_a_missing_directory_refused_before_the_table(self, tmp_path, capsys):
+        summary = self._small_run(tmp_path, "a")
+        out = tmp_path / "missing" / "x.csv"
+        capsys.readouterr()
+        assert main(["compare", str(summary), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot write {str(out)!r}: No such file or directory\n"
+        assert not out.parent.exists()
+
     def test_fedasync_beats_fedavg_per_gradient(self, tmp_path, capsys):
         # paired desk-scale comparison at the quadratic defaults: the
         # asynchronous run should hit the 10% loss threshold with no

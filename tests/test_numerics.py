@@ -343,3 +343,129 @@ class TestPreparedTargets:
         t = obj.prepare(shard.targets)
         got = obj._grad(p, shard.features, t)
         assert got.tobytes() == obj.grad(p, shard.features, shard.targets).tobytes()
+
+
+class _ReferenceMlp:
+    """The MLP kernel as it was before it worked in place: a fresh array
+    from every operation and the gradient blocks joined by
+    ``np.concatenate``."""
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def _forward(self, params, X):
+        W1, b1, W2, b2 = self.obj._unpack(params)
+        A1 = np.tanh(X @ W1 + b1)
+        return W2, A1, A1 @ W2 + b2
+
+    @staticmethod
+    def _log_softmax(logits):
+        shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+        return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+
+    @staticmethod
+    def _backward(W2, X, A1, P, onehot):
+        P -= onehot
+        P /= X.shape[0]
+        gW2 = A1.T @ P
+        gb2 = np.add.reduce(P, axis=0)
+        dZ1 = (P @ W2.T) * (1.0 - A1 * A1)
+        gW1 = X.T @ dZ1
+        gb1 = np.add.reduce(dZ1, axis=0)
+        return np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
+
+    def loss_grad(self, params, X, y):
+        W2, A1, logits = self._forward(params, X)
+        logp = self._log_softmax(logits)
+        idx = np.asarray(y).astype(np.int64)
+        loss = float(-np.mean(logp[np.arange(logp.shape[0]), idx]))
+        return loss, self._backward(W2, X, A1, np.exp(logp), self.obj.prepare(y))
+
+    def _grad(self, params, X, t):
+        W2, A1, logits = self._forward(params, X)
+        return self._backward(W2, X, A1, np.exp(self._log_softmax(logits)), t)
+
+    def predict(self, params, X):
+        return self._forward(params, X)[2].argmax(axis=1)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal bit for bit, signed zeros included; a NaN matches any NaN,
+    since which NaN a max keeps reaches no output (``repr`` of every NaN
+    is ``nan``)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    same = (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+    return a.shape == b.shape and bool(same.all())
+
+
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _with_specials(rng, values, share):
+    """``values`` with about ``share`` of its entries replaced by ±0, ±inf
+    or NaN."""
+    values = values.copy()
+    hit = rng.random(values.shape) < share
+    values[hit] = rng.choice(_SPECIALS, size=int(hit.sum()))
+    return values
+
+
+class TestInPlaceMlpKernel:
+    """The in-place MLP kernel against :class:`_ReferenceMlp`, bit for bit,
+    with ±0, ±inf and NaN reaching the logits: zero feature rows and
+    ``b1`` zeros give zero hidden rows, whose logits are ``b2`` plus a
+    signed zero, and huge or special ``W2`` entries overflow or poison
+    whole rows."""
+
+    @staticmethod
+    def _case(rng, classes, m, share):
+        obj = MlpObjective(4, 5, classes)
+        W1, b1, W2, b2 = obj._unpack(rng.standard_normal(obj.dim))
+        b1 = _with_specials(rng, b1, share)
+        W2 = _with_specials(rng, W2 * rng.choice([1.0, 1e300], size=W2.shape), share)
+        b2 = _with_specials(rng, b2, 2 * share)
+        params = np.concatenate([W1.ravel(), b1, W2.ravel(), b2])
+        X = rng.standard_normal((m, 4)) * rng.choice([0.0, 1.0, 1e3], size=(m, 1))
+        y = rng.integers(0, classes, size=m)
+        return obj, params, X, y
+
+    @np.errstate(all="ignore")
+    def _check(self, obj, params, X, y):
+        ref = _ReferenceMlp(obj)
+        t = obj.prepare(y)
+        kept = [a.copy() for a in (params, X, t)]
+        loss, g = obj.loss_grad(params, X, y)
+        ref_loss, ref_g = ref.loss_grad(params, X, y)
+        assert _same_bits(loss, ref_loss)
+        assert _same_bits(g, ref_g)
+        for _ in range(2):  # batch_size=full hands every step the same t
+            assert _same_bits(obj._grad(params, X, t), ref._grad(params, X, t))
+        assert np.array_equal(obj.predict(params, X), ref.predict(params, X))
+        for before, after in zip(kept, (params, X, t)):
+            assert _same_bits(before, after)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        classes=st.integers(2, 10),
+        m=st.integers(1, 800),
+        share=st.sampled_from([0.0, 0.2, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_reference_kernel(self, classes, m, share, seed):
+        self._check(*self._case(np.random.default_rng(seed), classes, m, share))
+
+    @pytest.mark.parametrize("classes", range(2, 11))
+    def test_log_softmax_of_any_logits(self, classes):
+        # the forward pass never makes a -0 logit (a matmul sums from +0),
+        # so logits are drawn directly, with rows whose max is a zero of
+        # either sign and whose other entries are -inf
+        rng = np.random.default_rng(classes)
+        for m in (1, 7, 800):
+            for share in (0.2, 0.5, 0.9):
+                logits = _with_specials(rng, rng.standard_normal((m, classes)), share)
+                zero_max = rng.random(m) < 0.3
+                logits[zero_max] = rng.choice(np.array([0.0, -0.0, -np.inf]), (zero_max.sum(), classes))
+                with np.errstate(all="ignore"):
+                    got = MlpObjective._log_softmax(logits.copy())
+                    want = _ReferenceMlp._log_softmax(logits)
+                assert _same_bits(got, want)

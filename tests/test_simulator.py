@@ -1,10 +1,14 @@
 """Unit tests for both simulation modes, the delay model, and problem setup."""
 
+import heapq
+import itertools
+
 import numpy as np
 import pytest
 
-from fedasync.data import SERVER_DOMAIN, domain_rng, worker_rng
-from fedasync.server import ServerConfig, ServerState, apply_update
+import fedasync.simulator as simulator
+from fedasync.data import SERVER_DOMAIN, delay_rng, domain_rng, worker_rng
+from fedasync.server import ServerConfig, ServerState, StaleUpdateError, apply_update, plan_triggers
 from fedasync.simulator import (
     DelayModel,
     ExperimentConfig,
@@ -13,7 +17,7 @@ from fedasync.simulator import (
     run_fedasync_latency,
     run_fedasync_sampled,
 )
-from fedasync.worker import WorkerConfig, local_train
+from fedasync.worker import DivergenceError, WorkerConfig, local_train
 
 
 def _cfg(**over):
@@ -272,6 +276,112 @@ class TestLatencyMode:
         slow = np.mean(by_worker[0])
         fast = np.mean(by_worker[1] + by_worker[2] + by_worker[3])
         assert slow > fast
+
+
+def _train_at_dispatch(cfg):
+    """The latency schedule with every task trained when it is dispatched,
+    rejected or not: ``(state, apply_log)`` after the run."""
+    problem = build_problem(cfg)
+    state = ServerState.create(problem.x0)
+    streams = [worker_rng(cfg.seed, w) for w in range(cfg.n_workers)]
+    delays = [delay_rng(cfg.seed, w) for w in range(cfg.n_workers)]
+    heap, seq, idle, cursor, log = [], itertools.count(), set(range(cfg.n_workers)), 0, []
+
+    def dispatch(now):
+        nonlocal cursor
+        chosen, cursor = plan_triggers(sorted(idle), len(heap), cfg.server.max_staleness, cursor)
+        for w in chosen:
+            idle.discard(w)
+            tau, params = state.pull()
+            upd = local_train(
+                problem.objective, problem.shards[w], params, tau, cfg.worker, streams[w], w
+            )
+            heapq.heappush(heap, (now + cfg.delay.draw(w, delays[w]), next(seq), w, upd))
+
+    dispatch(0.0)
+    while heap and state.epoch < cfg.total_epochs:
+        now, _, w, upd = heapq.heappop(heap)
+        idle.add(w)
+        try:
+            apply_update(state, cfg.server, upd)
+        except StaleUpdateError:
+            dispatch(now)
+            continue
+        log.append((w, state.last_staleness))
+        if state.epoch < cfg.total_epochs:
+            dispatch(now)
+    return state, log
+
+
+class TestTrainAtLanding:
+    """A latency task trains when its push lands and is accepted; a
+    rejected push only makes its task's draws."""
+
+    # worker 0 is slow, so every one of its pushes lands stale
+    SLOW = dict(
+        n_workers=4,
+        total_epochs=100,
+        server=ServerConfig(alpha=0.5, max_staleness=2),
+        delay=DelayModel(compute_means=[20.0, 1.0, 1.0, 1.0], network_mean=0.0, kind="constant"),
+    )
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            dict(n_workers=6, total_epochs=80, server=ServerConfig(alpha=0.5, max_staleness=1)),
+            dict(n_workers=6, total_epochs=80, worker=WorkerConfig(gamma=0.1, h_min=2, h_max=4)),
+            SLOW,
+        ],
+    )
+    def test_same_run_as_training_at_dispatch(self, monkeypatch, over):
+        cfg = _cfg(**{"delay": DelayModel(kind="exponential"), **over})
+        calls = []
+
+        def counted(objective, shard, anchor, tau, wcfg, rng, worker_id=0):
+            calls.append(worker_id)
+            return local_train(objective, shard, anchor, tau, wcfg, rng, worker_id)
+
+        monkeypatch.setattr(simulator, "local_train", counted)
+        result = run_fedasync_latency(cfg, record_trajectory=True)
+        state, log = _train_at_dispatch(cfg)
+        assert result.state.n_rejected == state.n_rejected > 0
+        assert result.apply_log == log
+        assert result.final_params.tobytes() == state.params.tobytes()
+        assert calls == [w for w, _ in log]  # one local_train per applied epoch
+
+    def test_diverging_push_fails_the_run_where_it_lands(self, monkeypatch):
+        # worker 2 is dispatched at epoch 0; its first accepted push lands
+        # at epoch 22, after stale ones
+        cfg = _cfg(n_workers=6, total_epochs=80, server=ServerConfig(alpha=0.5, max_staleness=3))
+        log = run_fedasync_latency(cfg).apply_log
+        first = [w for w, _ in log].index(2)
+        assert first == 22
+
+        def diverging(objective, shard, anchor, tau, wcfg, rng, worker_id=0):
+            if worker_id == 2:
+                raise DivergenceError(0)
+            return local_train(objective, shard, anchor, tau, wcfg, rng, worker_id)
+
+        monkeypatch.setattr(simulator, "local_train", diverging)
+        with pytest.raises(RunFailure) as err:
+            run_fedasync_latency(cfg)
+        assert err.value.epoch == first
+        assert [r.epoch for r in err.value.records] == list(range(first + 1))
+
+    def test_stale_push_cannot_fail_the_run(self, monkeypatch):
+        cfg = _cfg(**self.SLOW)
+        clean = run_fedasync_latency(cfg)
+        assert clean.state.n_rejected > 0 and 0 not in [w for w, _ in clean.apply_log]
+
+        def diverging(objective, shard, anchor, tau, wcfg, rng, worker_id=0):
+            if worker_id == 0:
+                raise DivergenceError(0)
+            return local_train(objective, shard, anchor, tau, wcfg, rng, worker_id)
+
+        monkeypatch.setattr(simulator, "local_train", diverging)
+        result = run_fedasync_latency(cfg)
+        assert [r.cells() for r in result.records] == [r.cells() for r in clean.records]
+        assert result.state.n_rejected == clean.state.n_rejected
 
 
 class TestConvergenceSanity:

@@ -20,6 +20,7 @@ from fedasync.worker import (
     WorkerConfig,
     choose_steps,
     local_train,
+    skip_task,
 )
 
 
@@ -362,3 +363,18 @@ class TestLocalUpdate:
         b = local_train(obj, shard, np.zeros(2), tau=0, cfg=cfg, rng=worker_rng(0, 3))
         np.testing.assert_array_equal(a.params, b.params)
         assert a.local_iters == b.local_iters
+
+
+class TestSkipTask:
+    @pytest.mark.parametrize("batch_size", [None, 1, 7])
+    @pytest.mark.parametrize("h_min, h_max", [(3, 3), (1, 9)])
+    def test_leaves_the_stream_where_local_train_does(self, batch_size, h_min, h_max):
+        objective, shard = _problem("mlp", 40)
+        cfg = WorkerConfig(gamma=0.1, rho=0.01, h_min=h_min, h_max=h_max, batch_size=batch_size)
+        anchor = np.random.default_rng(0).standard_normal(objective.dim) * 0.1
+        for seed in range(10):
+            trained, skipped = worker_rng(seed, 1), worker_rng(seed, 1)
+            for _ in range(3):  # consecutive tasks on one stream
+                local_train(objective, shard, anchor, 0, cfg, trained)
+                skip_task(shard, cfg, skipped)
+                assert trained.bit_generator.state == skipped.bit_generator.state
