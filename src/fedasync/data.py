@@ -240,7 +240,7 @@ def sample_minibatch(
     """The minibatches of :func:`minibatch_indices`, gathered as
     ``(features, targets)`` with a leading axis of length ``steps``."""
     idx = minibatch_indices(len(shard), batch_size, rng, steps)
-    return shard.features[idx], shard.targets[idx]
+    return shard.features.take(idx, axis=0), shard.targets[idx]
 
 
 def eval_rows(n: int, eval_frac: float) -> int:

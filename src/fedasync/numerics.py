@@ -8,13 +8,32 @@ objective writes four kernels (``prepare``, ``_grad``, ``loss_grad`` and
 ``predict``); :class:`Objective` derives the other three (``loss``,
 ``grad`` and ``accuracy``) from them once. The MLP kernel works in place
 on the temporaries it makes, never on its inputs.
+
+At the problem sizes here numpy's per-call dispatch costs more than the
+arithmetic, so the kernels call ``ndarray.dot`` (or ``np.dot(..., out=)``)
+rather than ``@``: the same BLAS call with the same bits, without the
+matmul ufunc's dispatch. For the same reason each kernel divides by its
+row count as a 0-d float64 array (:func:`_row_count`), which numpy takes
+without converting a Python scalar; the quotient's bits are the same.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
+from functools import cache
 
 import numpy as np
+
+
+@cache
+def _row_count(n: int) -> np.ndarray:
+    """``n`` as a read-only 0-d float64 array, made once per value. The
+    values are row counts, so the cache stays as small as the data's
+    distinct batch and set sizes."""
+    count = np.array(float(n))
+    count.setflags(write=False)
+    return count
 
 
 def _as_params(x) -> np.ndarray:
@@ -46,7 +65,7 @@ def mix(current: np.ndarray, incoming: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: {current.shape[0]} vs {incoming.shape[0]}"
         )
-    if not np.isfinite(alpha) or not 0.0 <= alpha <= 1.0:
+    if not math.isfinite(alpha) or not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
     return (1.0 - alpha) * current + alpha * incoming
 
@@ -156,18 +175,19 @@ class QuadraticObjective(Objective):
 
     def loss_grad(self, params, X, y):
         params = self._check(params, X)
-        r = X @ params - y
-        return float(0.5 * np.dot(r, r) / X.shape[0]), X.T @ r / X.shape[0]
+        r = X.dot(params) - y
+        n = _row_count(X.shape[0])
+        return float(0.5 * r.dot(r) / n), X.T.dot(r) / n
 
     def prepare(self, y):
         return y
 
     def _grad(self, params, X, t):
-        return X.T @ (X @ params - t) / X.shape[0]
+        return X.T.dot(X.dot(params) - t) / _row_count(X.shape[0])
 
     def predict(self, params, X):
         params = self._check(params, X)
-        return X @ params
+        return X.dot(params)
 
     def accuracy(self, params, X, y):
         return None
@@ -196,13 +216,13 @@ class LogisticObjective(Objective):
     def loss_grad(self, params, X, y):
         params = self._check(params, X)
         s = self.prepare(y)
-        margins = s * (X @ params)
+        margins = s * X.dot(params)
         data = float(np.mean(np.logaddexp(0.0, -margins)))
         loss = data + 0.5 * self.l2 * float(np.dot(params, params))
         return loss, self._grad_at(params, X, s, margins)
 
     def _grad(self, params, X, t):
-        return self._grad_at(params, X, t, t * (X @ params))
+        return self._grad_at(params, X, t, t * X.dot(params))
 
     def _grad_at(self, params, X, s, margins):
         # d/dm log(1 + e^{-m}) = -sigmoid(-m); exponentiate only the
@@ -212,11 +232,11 @@ class LogisticObjective(Objective):
         e = np.exp(-margins[pos])
         sig[pos] = e / (1.0 + e)
         sig[~pos] = 1.0 / (1.0 + np.exp(margins[~pos]))
-        return -(X.T @ (s * sig)) / X.shape[0] + self.l2 * params
+        return -X.T.dot(s * sig) / _row_count(X.shape[0]) + self.l2 * params
 
     def predict(self, params, X):
         params = self._check(params, X)
-        return (X @ params > 0.0).astype(np.int64)
+        return (X.dot(params) > 0.0).astype(np.int64)
 
 
 class MlpObjective(Objective):
@@ -255,9 +275,9 @@ class MlpObjective(Objective):
         """``(W2, A1, logits)``: the output weights, which the backward
         pass reuses, the hidden activations and the logits."""
         W1, b1, W2, b2 = self._unpack(params)
-        A1 = X @ W1
+        A1 = X.dot(W1)
         np.tanh(np.add(A1, b1, out=A1), out=A1)
-        logits = A1 @ W2
+        logits = A1.dot(W2)
         logits += b2
         return W2, A1, logits
 
@@ -292,15 +312,15 @@ class MlpObjective(Objective):
         ``P``, both of which it overwrites. Subtracting a one-hot row
         changes only the target's entry, since ``p - 0.0 == p``."""
         P -= onehot
-        P /= X.shape[0]
+        P /= _row_count(X.shape[0])
         g = np.empty(self.dim)
         gW1, gb1, gW2, gb2 = self._unpack(g)
-        np.matmul(A1.T, P, out=gW2)
+        np.dot(A1.T, P, out=gW2)
         np.add.reduce(P, axis=0, out=gb2)
-        dZ1 = P @ W2.T
+        dZ1 = P.dot(W2.T)
         A1 *= A1
         dZ1 *= np.subtract(1.0, A1, out=A1)
-        np.matmul(X.T, dZ1, out=gW1)
+        np.dot(X.T, dZ1, out=gW1)
         np.add.reduce(dZ1, axis=0, out=gb1)
         return g
 

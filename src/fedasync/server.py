@@ -96,7 +96,9 @@ class ServerState:
     """Mutable server state; single-writer by construction.
 
     ``history`` keeps the last ``max_staleness + 1`` models keyed by
-    epoch so the sampled-staleness mode can hand out old bases.
+    epoch so the sampled-staleness mode can hand out old bases. Its
+    entries are the committed models themselves, not copies: each apply
+    binds ``params`` to a new array, and nothing writes one in place.
     """
 
     params: np.ndarray
@@ -113,7 +115,7 @@ class ServerState:
         if x0.ndim != 1:
             raise ValueError(f"initial model must be 1-D, got shape {x0.shape}")
         state = cls(params=x0)
-        state.history[0] = x0.copy()
+        state.history[0] = x0
         return state
 
     def pull(self) -> tuple[int, np.ndarray]:
@@ -133,29 +135,17 @@ def admit(state: ServerState, cfg: ServerConfig, tau: int) -> int:
 
 
 def apply_update(state: ServerState, cfg: ServerConfig, upd: LocalUpdate) -> float:
-    """Admit one update; returns the mixing weight actually used.
+    """Mix in one update; returns the mixing weight actually used.
 
-    On success the model moves to ``(1 - a_t) * x + a_t * x_new`` with
-    ``a_t = staleness_weight(cfg, epoch - tau)`` and the epoch
-    advances by one. Updates staler than ``max_staleness`` are rejected
-    by :func:`admit`; structurally bad updates raise
-    :class:`ProtocolError`. Neither failure touches the model.
+    The update must be well formed (``0 <= tau <= epoch``, finite, the
+    model's length, at least one step): :func:`fedasync.worker.local_train`
+    makes it so in process, and the TCP server's session validates each
+    decoded push before it gets here. What stays is the staleness rule
+    (:func:`admit`; a rejection leaves the model untouched) and the mix:
+    the model moves to ``(1 - a_t) * x + a_t * x_new`` with ``a_t =
+    staleness_weight(cfg, epoch - tau)``, the epoch advances by one, and
+    the new model enters ``history`` by reference.
     """
-    if upd.tau < 0:
-        raise ProtocolError(f"negative pull epoch {upd.tau}")
-    if upd.tau > state.epoch:
-        raise ProtocolError(
-            f"pull epoch {upd.tau} is ahead of server epoch {state.epoch}"
-        )
-    if upd.params.shape != state.params.shape:
-        raise ProtocolError(
-            f"update has {upd.params.shape[0]} parameters, "
-            f"server holds {state.params.shape[0]}"
-        )
-    if not np.all(np.isfinite(upd.params)):
-        raise ProtocolError("update contains non-finite parameters")
-    if upd.local_iters < 1:
-        raise ProtocolError(f"update claims {upd.local_iters} local steps")
     staleness = admit(state, cfg, upd.tau)
     alpha_t = staleness_weight(cfg, staleness)
     state.params = mix(state.params, upd.params, alpha_t)
@@ -163,10 +153,8 @@ def apply_update(state: ServerState, cfg: ServerConfig, upd: LocalUpdate) -> flo
     state.n_gradients += upd.local_iters
     state.last_alpha = alpha_t
     state.last_staleness = staleness
-    state.history[state.epoch] = state.params.copy()
-    floor = state.epoch - cfg.max_staleness
-    for old in [e for e in state.history if e < floor]:
-        del state.history[old]
+    state.history[state.epoch] = state.params
+    state.history.pop(state.epoch - cfg.max_staleness - 1, None)
     return alpha_t
 
 

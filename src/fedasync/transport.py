@@ -444,10 +444,13 @@ class _ServerSession:
     ProtocolError against the connection at fault.
 
     A connection is bound to the worker id of its first PullRequest; ids
-    out of range or held by another live connection are refused. A Push
-    that names another worker or fewer than one local step is refused
-    in its PushAck. A connection waiting for a slot may send one
-    PullRequest ahead, bound as it arrives; any other frame from it is a
+    out of range or held by another live connection are refused. Each
+    Push is validated here, as it is decoded, and nowhere after
+    (:meth:`_check`): one that names another worker, carries a pull epoch
+    below 0 or above the server's, a vector of another length or with a
+    non-finite entry, or fewer than one local step is logged and refused
+    in its PushAck, and changes no state. A connection waiting for a slot
+    may send one PullRequest ahead, bound as it arrives; any other frame from it is a
     fault. The pull is answered, with a snapshot taken then, when both
     the PullRequest and the Trigger are out.
 
@@ -565,17 +568,32 @@ class _ServerSession:
         conn.pulled = False
         conn.phase = _PUSH
 
+    def _check(self, push: Push, worker_id: int) -> None:
+        """Raise ProtocolError for a push that is malformed rather than
+        stale; :func:`apply_update` trusts what passes."""
+        epoch, n, dim = self.state.epoch, push.params.size, self.state.params.size
+        if push.worker_id != worker_id:
+            raise ProtocolError(
+                f"push names worker {push.worker_id} on a connection bound to worker {worker_id}"
+            )
+        if push.tau < 0:
+            raise ProtocolError(f"negative pull epoch {push.tau}")
+        if push.tau > epoch:
+            raise ProtocolError(f"pull epoch {push.tau} is ahead of server epoch {epoch}")
+        if n != dim:
+            raise ProtocolError(f"update has {n} parameters, server holds {dim}")
+        if not np.isfinite(push.params).all():
+            raise ProtocolError("update contains non-finite parameters")
+        if push.local_iters < 1:
+            raise ProtocolError(f"update claims {push.local_iters} local steps")
+
     def _commit(self, push: Push, worker_id: int) -> bool:
         """Apply one push and take the run loop's step. False if refused.
         The push that reaches ``total_epochs`` ends the run."""
         if self.done:
             return False
         try:
-            if push.worker_id != worker_id:
-                raise ProtocolError(
-                    f"push names worker {push.worker_id} on a connection "
-                    f"bound to worker {worker_id}"
-                )
+            self._check(push, worker_id)
             # decoding gave push.params as a fresh float64 array: no copy here
             upd = LocalUpdate(push.params, push.tau, push.worker_id, push.local_iters)
             apply_update(self.state, self.cfg.server, upd)
@@ -603,10 +621,11 @@ class TransportServer:
     faults, EOF, or silence for ``socket_timeout`` seconds while the
     server waits on it drop that connection alone. After Shutdown the
     server half-closes and reads to EOF, so that an unanswered
-    PullRequest does not turn the close into a reset. A frame longer than
-    the largest legal one at the run's dimension is refused at its
-    header. Out of file descriptors, the server stops accepting until a
-    connection closes.
+    PullRequest does not turn the close into a reset; a connection that
+    has never sent a byte has nothing unread and is closed at once. A
+    frame longer than the largest legal one at the run's dimension is
+    refused at its header. Out of file descriptors, the server stops
+    accepting until a connection closes.
 
     ``bind``, then ``wait``, runs the loop in the caller's thread
     (``fedasync serve``); an in-process run calls ``attach_worker`` for
@@ -748,6 +767,9 @@ class TransportServer:
                 if conn.buf.outbox:
                     conn.buf.send(conn.sock)
                 if conn.phase == _CLOSING and not conn.buf.outbox and not conn.half_closed:
+                    if self._silent(conn):
+                        self._close(conn, EOFError())
+                        continue
                     conn.sock.shutdown(socket.SHUT_WR)
                     conn.half_closed = True
             except OSError as exc:
@@ -759,6 +781,19 @@ class TransportServer:
             elif conn.deadline is None:
                 conn.deadline = now + self.socket_timeout
             self._watch(conn, selectors.EVENT_READ | write)
+
+    @staticmethod
+    def _silent(conn: _Conn) -> bool:
+        """True if the peer has sent no byte, checked by one more read (a
+        first frame binds its connection or drops it). Closed then, it has
+        nothing unread, so it gets a FIN, not a reset. What the read finds
+        is dropped, as everything read after Shutdown is."""
+        if conn.worker_id is not None or conn.buf.inbox:
+            return False
+        conn.buf.fill(conn.sock)
+        heard = bool(conn.buf.inbox)
+        conn.buf.inbox.clear()
+        return not heard
 
     def _accept(self, mask: int) -> None:
         assert self._listener is not None

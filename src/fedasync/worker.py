@@ -156,15 +156,18 @@ def _descend(
     gradient or iterate is not finite; the caller has validated the
     anchor and the features, so the unchecked gradient kernel is used.
     """
-    grad, gamma, rho = objective._grad, cfg.gamma, cfg.rho
+    grad, prox = objective._grad, cfg.rho != 0.0
+    # 0-d arrays: numpy scales by them without converting a Python float
+    gamma, rho = np.array(cfg.gamma), np.array(cfg.rho)
     x = anchor.copy()
     for h, (X, t) in enumerate(batches):
         g = grad(x, X, t)
-        if rho != 0.0:
+        if prox:
             g += rho * (x - anchor)
         if checked and not np.isfinite(g).all():
             raise DivergenceError(h)
-        x -= gamma * g
+        g *= gamma
+        x -= g
         if checked and not np.isfinite(x).all():
             raise DivergenceError(h)
     return x

@@ -469,3 +469,92 @@ class TestInPlaceMlpKernel:
                     got = MlpObjective._log_softmax(logits.copy())
                     want = _ReferenceMlp._log_softmax(logits)
                 assert _same_bits(got, want)
+
+
+class _ReferenceQuadratic:
+    """The quadratic kernel written with ``@`` and divided by the row count
+    as a Python int."""
+
+    def loss_grad(self, params, X, y):
+        r = X @ params - y
+        return float(0.5 * np.dot(r, r) / X.shape[0]), X.T @ r / X.shape[0]
+
+    def _grad(self, params, X, t):
+        return X.T @ (X @ params - t) / X.shape[0]
+
+    def predict(self, params, X):
+        return X @ params
+
+
+class _ReferenceLogistic:
+    """The logistic kernel written with ``@`` and divided by the row count
+    as a Python int."""
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def loss_grad(self, params, X, y):
+        s = self.obj.prepare(y)
+        margins = s * (X @ params)
+        data = float(np.mean(np.logaddexp(0.0, -margins)))
+        loss = data + 0.5 * self.obj.l2 * float(np.dot(params, params))
+        return loss, self._grad_at(params, X, s, margins)
+
+    def _grad(self, params, X, t):
+        return self._grad_at(params, X, t, t * (X @ params))
+
+    def _grad_at(self, params, X, s, margins):
+        sig = np.empty_like(margins)
+        pos = margins >= 0
+        e = np.exp(-margins[pos])
+        sig[pos] = e / (1.0 + e)
+        sig[~pos] = 1.0 / (1.0 + np.exp(margins[~pos]))
+        return -(X.T @ (s * sig)) / X.shape[0] + self.obj.l2 * params
+
+    def predict(self, params, X):
+        return (X @ params > 0.0).astype(np.int64)
+
+
+class TestDotKernels:
+    """Every objective's ``_grad``, ``loss_grad`` and ``predict``, which call
+    ``ndarray.dot`` and divide by a 0-d row count, against the same
+    kernels written with ``@``, bit for bit, on C-ordered features and on
+    transposed (F-ordered) views of them."""
+
+    @staticmethod
+    def _case(rng, kind, m, width, hidden, classes):
+        if kind == "quadratic":
+            obj, ref = QuadraticObjective(width), _ReferenceQuadratic()
+            y = rng.standard_normal(m)
+        elif kind == "logistic":
+            obj = LogisticObjective(width, l2=rng.choice([0.0, 1e-3]))
+            ref, y = _ReferenceLogistic(obj), rng.integers(0, 2, size=m)
+        else:
+            obj = MlpObjective(width, hidden, classes)
+            ref, y = _ReferenceMlp(obj), rng.integers(0, classes, size=m)
+        params = rng.standard_normal(obj.dim) * rng.choice([0.1, 1.0, 10.0])
+        return obj, ref, params, rng.standard_normal((m, width)), y
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["quadratic", "logistic", "mlp"]),
+        m=st.integers(1, 800),
+        width=st.sampled_from([1, 2, 3, 10, 37, 64]),
+        hidden=st.sampled_from([1, 4, 16, 33]),
+        classes=st.integers(2, 10),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_matmul_reference(self, kind, m, width, hidden, classes, fortran, seed):
+        obj, ref, params, X, y = self._case(
+            np.random.default_rng(seed), kind, m, width, hidden, classes
+        )
+        if fortran:
+            X = np.ascontiguousarray(X.T).T
+        t = obj.prepare(y)
+        loss, g = obj.loss_grad(params, X, y)
+        ref_loss, ref_g = ref.loss_grad(params, X, y)
+        assert _same_bits(loss, ref_loss)
+        assert _same_bits(g, ref_g)
+        assert _same_bits(obj._grad(params, X, t), ref._grad(params, X, t))
+        assert np.array_equal(obj.predict(params, X), ref.predict(params, X))

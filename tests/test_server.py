@@ -13,7 +13,9 @@ from fedasync.server import (
     plan_triggers,
     staleness_weight,
 )
-from fedasync.worker import LocalUpdate
+from fedasync.simulator import ExperimentConfig, build_problem
+from fedasync.transport import Push, _ServerSession
+from fedasync.worker import LocalUpdate, WorkerConfig
 
 
 def _upd(params, tau, iters=1, worker=0):
@@ -23,6 +25,29 @@ def _upd(params, tau, iters=1, worker=0):
         worker_id=worker,
         local_iters=iters,
     )
+
+
+def _refused(cfg, dim, push, match):
+    """``apply_update`` trusts its input; a malformed push is refused where
+    it enters, by the TCP server's session, on a quadratic run whose model
+    is ``dim`` zeros. Asserts the refusal and that it left the state as it
+    was."""
+    run = ExperimentConfig(
+        task="quadratic",
+        n_workers=1,
+        total_epochs=5,
+        server=cfg,
+        worker=WorkerConfig(gamma=0.1),
+        n_samples=20,
+        dim=dim,
+    )
+    session = _ServerSession(run, build_problem(run))
+    with pytest.raises(ProtocolError, match=match):
+        session._check(push, 0)
+    assert session._commit(push, 0) is False
+    state = session.state
+    np.testing.assert_array_equal(state.params, np.zeros(dim))
+    assert (state.epoch, state.n_gradients, state.n_rejected) == (0, 0, 0)
 
 
 class TestServerConfig:
@@ -151,29 +176,19 @@ class TestApplyUpdate:
 
     def test_future_tau_is_protocol_error(self):
         cfg = ServerConfig(alpha=0.5, max_staleness=4)
-        state = ServerState.create(np.zeros(1))
-        with pytest.raises(ProtocolError, match="ahead"):
-            apply_update(state, cfg, _upd([1.0], tau=3))
-        assert state.epoch == 0
-        assert state.n_rejected == 0
+        _refused(cfg, 1, Push(0, tau=3, local_iters=1, params=np.ones(1)), "ahead")
 
     def test_negative_tau_is_protocol_error(self):
         cfg = ServerConfig(alpha=0.5)
-        state = ServerState.create(np.zeros(1))
-        with pytest.raises(ProtocolError, match="negative"):
-            apply_update(state, cfg, _upd([1.0], tau=-1))
+        _refused(cfg, 1, Push(0, tau=-1, local_iters=1, params=np.ones(1)), "negative")
 
     def test_dimension_mismatch_is_protocol_error(self):
         cfg = ServerConfig(alpha=0.5)
-        state = ServerState.create(np.zeros(2))
-        with pytest.raises(ProtocolError, match="parameters"):
-            apply_update(state, cfg, _upd([1.0], tau=0))
+        _refused(cfg, 2, Push(0, tau=0, local_iters=1, params=np.ones(1)), "parameters")
 
     def test_non_finite_update_is_protocol_error(self):
         cfg = ServerConfig(alpha=0.5)
-        state = ServerState.create(np.zeros(2))
-        with pytest.raises(ProtocolError, match="finite"):
-            apply_update(state, cfg, _upd([np.inf, 0.0], tau=0))
+        _refused(cfg, 2, Push(0, tau=0, local_iters=1, params=np.array([np.inf, 0.0])), "finite")
 
     def test_last_alpha_and_staleness_recorded(self):
         cfg = ServerConfig(alpha=0.8, strategy="polynomial", poly_a=1.0, max_staleness=5)
@@ -201,6 +216,18 @@ class TestHistory:
             seen[state.epoch] = state.params.copy()
         for epoch, params in state.history.items():
             np.testing.assert_array_equal(params, seen[epoch])
+
+    @pytest.mark.parametrize("max_staleness", [0, 1, 4])
+    def test_entries_are_the_committed_arrays_themselves(self, max_staleness):
+        cfg = ServerConfig(alpha=0.5, max_staleness=max_staleness)
+        state = ServerState.create(np.zeros(3))
+        committed = {0: state.params}
+        for i in range(max_staleness + 6):
+            apply_update(state, cfg, _upd(np.full(3, float(i)), tau=state.epoch))
+            committed[state.epoch] = state.params
+            assert len(state.history) == min(state.epoch, max_staleness) + 1
+        assert sorted(state.history) == list(range(state.epoch - max_staleness, state.epoch + 1))
+        assert all(params is committed[epoch] for epoch, params in state.history.items())
 
     def test_history_snapshot_isolated_from_state(self):
         cfg = ServerConfig(alpha=0.5, max_staleness=2)

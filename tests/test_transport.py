@@ -641,6 +641,37 @@ class TestTeardown:
         assert result.state.epoch == 1
         assert [t for t in threading.enumerate() if t not in before] == []
 
+    def test_a_peer_that_never_sent_a_byte_does_not_delay_the_end(self):
+        # it connects mid-run and waits at the gate behind the worker's
+        # task (K=0); at the end it gets Shutdown and is closed at once,
+        # not read for an EOF that never comes until socket_timeout
+        cfg = _cfg(total_epochs=3000, eval_every=100)
+        server = TransportServer(cfg, socket_timeout=3.0)
+        address, finish = _serve(server)
+        ended = {}
+
+        def work():
+            ended["loop"] = worker_loop(address, cfg, 0, problem=server.problem)
+            ended["at"] = time.perf_counter()
+
+        t = threading.Thread(target=work)
+        t.start()
+        t0 = time.perf_counter()
+        while server.session.state.epoch < 1:
+            assert time.perf_counter() - t0 < 30.0, "the run did not start"
+            time.sleep(0.001)
+        with socket.create_connection(address, timeout=10) as idle:
+            result = finish()
+            waited = time.perf_counter() - ended["at"]
+            t.join(timeout=30)
+            assert not t.is_alive()
+            buf = transport._Buffer(5)
+            assert isinstance(read_message(idle, buf), Shutdown)
+            assert read_message(idle, buf) is None
+        assert ended["loop"] == (3000, 3000)
+        assert result.state.epoch == 3000
+        assert waited < 1.0
+
     def test_silent_peer_drop_hands_its_slot_on(self):
         # the honest worker's push leaves it held at the gate behind the
         # silent peer's task, its PullRequest already read with the push;
@@ -898,6 +929,52 @@ class TestClientFieldValidation:
             assert time.perf_counter() - t0 < 5.0
         assert worker_loop(address, cfg, 1, problem=server.problem) == (3, 3)
         assert finish().state.epoch == 3
+
+
+def _with_entry(params, value):
+    out = params + 1.0
+    out[2] = value
+    return out
+
+
+# Pushes that _ServerSession._check refuses, built from the PullResponse
+# they answer, with the text of the refusal it logs
+_MALFORMED_PUSHES = {
+    "nan-entry": (lambda r: Push(0, r.epoch, 1, _with_entry(r.params, np.nan)), "non-finite"),
+    "inf-entry": (lambda r: Push(0, r.epoch, 1, _with_entry(r.params, np.inf)), "non-finite"),
+    "negative-tau": (lambda r: Push(0, -1, 1, r.params + 1.0), "negative pull epoch -1"),
+    "tau-ahead": (lambda r: Push(0, r.epoch + 1, 1, r.params + 1.0), "ahead of server epoch 0"),
+    "one-element-short": (lambda r: Push(0, r.epoch, 1, r.params[:-1] + 1.0), "has 4 parameters"),
+}
+
+
+class TestMalformedPushes:
+    # apply_update trusts its input; the session refuses these where they
+    # are decoded, and the connection carries on
+    @pytest.mark.parametrize("kind", list(_MALFORMED_PUSHES))
+    def test_refused_and_nothing_changes(self, kind, caplog):
+        build, logged = _MALFORMED_PUSHES[kind]
+        cfg = _cfg(total_epochs=1, server=ServerConfig(alpha=0.5, max_staleness=0))
+        server = TransportServer(cfg)
+        x0 = server.problem.x0.copy()
+        with caplog.at_level(logging.ERROR, logger="fedasync.transport"):
+            address, finish = _serve(server)
+            with _Client(address) as client:
+                client.send(build(client.task()))
+                assert client.read() == PushAck(accepted=False, current_epoch=0)
+                resp = client.task()
+                np.testing.assert_array_equal(resp.params, x0)
+                client.send(Push(0, resp.epoch, 3, x0 + 1.0))
+                assert client.read() == PushAck(accepted=True, current_epoch=1)
+                assert isinstance(client.read(), Shutdown)
+            result = finish()
+        assert any(
+            "protocol error from worker 0" in r.getMessage() and logged in r.getMessage()
+            for r in caplog.records
+        )
+        np.testing.assert_array_equal(result.final_params, x0 + 0.5)
+        assert [r.gradients for r in result.records] == [0, 3]
+        assert result.state.n_rejected == 0
 
 
 class TestDisconnects:
