@@ -190,8 +190,6 @@ def partition_non_iid(
             )
         uniform = classes_per_device == 0
     if uniform:
-        if n < n_devices:
-            raise ValueError(f"cannot split {n} samples across {n_devices} devices")
         rng = domain_rng(seed, DATA_DOMAIN, 1)
         order = rng.permutation(n)
         parts = np.array_split(order, n_devices)

@@ -4,10 +4,14 @@ Parameter vectors are plain 1-D float64 numpy arrays. Every objective
 exposes the same entry points (``loss``, ``grad``, ``loss_grad``,
 ``predict``, ``accuracy``) over a feature matrix ``X`` and a target vector
 ``y`` so the training loops never branch on the model family. Each
-objective writes four kernels (``prepare``, ``_grad``, ``loss_grad`` and
-``predict``); :class:`Objective` derives the other three (``loss``,
-``grad`` and ``accuracy``) from them once. The MLP kernel works in place
-on the temporaries it makes, never on its inputs.
+objective writes four kernels (``prepare``, ``_grad``, ``_loss_grad`` and
+``predict``); :class:`Objective` derives the others (``loss``, ``grad``,
+``loss_grad`` and ``accuracy``) from them once. The MLP kernel works in
+place on the temporaries it makes, never on its inputs.
+
+A local task binds its iterate to a step kernel once (for the MLP: the
+weight views and one gradient vector), and a problem prepares its training
+split's targets once (:meth:`Objective.targets`) for every evaluation.
 
 At the problem sizes here numpy's per-call dispatch costs more than the
 arithmetic, so the kernels call ``ndarray.dot`` (or ``np.dot(..., out=)``)
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -70,40 +74,14 @@ def mix(current: np.ndarray, incoming: np.ndarray, alpha: float) -> np.ndarray:
     return (1.0 - alpha) * current + alpha * incoming
 
 
-def finite_diff_grad(
-    objective: "Objective",
-    params: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
-    eps: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference gradient estimate, one coordinate at a time.
-
-    Slow by construction; used as an independent check on the analytic
-    gradients, never inside a training loop.
-    """
-    params = _as_params(params)
-    if not np.isfinite(eps) or eps <= 0.0:
-        raise ValueError(f"eps must be a positive float, got {eps!r}")
-    out = np.empty_like(params)
-    probe = params.copy()
-    for i in range(params.shape[0]):
-        orig = probe[i]
-        probe[i] = orig + eps
-        hi = objective.loss(probe, X, y)
-        probe[i] = orig - eps
-        lo = objective.loss(probe, X, y)
-        probe[i] = orig
-        out[i] = (hi - lo) / (2.0 * eps)
-    return out
-
-
 class Objective(ABC):
     """Differentiable objective over (features, targets) batches.
 
-    A subclass writes :meth:`prepare`, :meth:`_grad`, :meth:`loss_grad`
-    and :meth:`predict`; :meth:`loss`, :meth:`grad` and :meth:`accuracy`
-    are derived from them here.
+    A subclass writes :meth:`prepare`, :meth:`_grad`, :meth:`_loss_grad`
+    and :meth:`predict`; :meth:`loss`, :meth:`grad`, :meth:`loss_grad` and
+    :meth:`accuracy` are derived from them here. Targets are prepared once
+    per problem (the training split, for evaluation) and once per local
+    task (its minibatches), never per step or per evaluation row.
 
     Attributes
     ----------
@@ -121,18 +99,25 @@ class Objective(ABC):
         """Gradient of :meth:`loss` with respect to ``params``."""
         return self._grad(self._check(params, X), X, self.prepare(y))
 
-    @abstractmethod
     def loss_grad(
         self, params: np.ndarray, X: np.ndarray, y: np.ndarray
     ) -> tuple[float, np.ndarray]:
         """The mean loss and ``grad(params, X, y)``, bit for bit, from one
         forward pass."""
+        return self._loss_grad(self._check(params, X), X, *self.targets(y))
 
     @abstractmethod
     def prepare(self, y: np.ndarray) -> np.ndarray:
         """The targets in the form :meth:`_grad` takes. Elementwise (or
-        rowwise) over ``y``, so a task can prepare the targets of all its
-        steps at once and hand :meth:`_grad` one slice per step."""
+        rowwise) over ``y``, so a task prepares the targets of all its
+        steps at once and hands the step kernel one slice per step, and a
+        problem prepares its training split's once (:meth:`targets`)."""
+
+    def targets(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(prepare(y), labels)``, the two forms of ``y`` that
+        :meth:`_loss_grad` reads: the labels are ``y`` itself, and for a
+        classifier that needs them, int64 class ids."""
+        return self.prepare(y), y
 
     @abstractmethod
     def _grad(self, params: np.ndarray, X: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -140,6 +125,18 @@ class Objective(ABC):
         have passed :meth:`_check` against a feature matrix of ``X``'s width,
         and ``t`` is ``prepare(y)``. Returns a new array, the caller's to
         overwrite."""
+
+    def _step_kernel(self, params: np.ndarray):
+        """``step(X, t)``, bit for bit ``_grad(params, X, t)`` at the values
+        ``params`` holds when called, for a task that updates it in place.
+        The gradient it returns is the caller's until the next call."""
+        return partial(self._grad, params)
+
+    @abstractmethod
+    def _loss_grad(
+        self, params: np.ndarray, X: np.ndarray, t: np.ndarray, labels: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        """:meth:`loss_grad` without validation, on ``targets(y)``."""
 
     @abstractmethod
     def predict(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -173,9 +170,8 @@ class QuadraticObjective(Objective):
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
 
-    def loss_grad(self, params, X, y):
-        params = self._check(params, X)
-        r = X.dot(params) - y
+    def _loss_grad(self, params, X, t, labels):
+        r = X.dot(params) - t
         n = _row_count(X.shape[0])
         return float(0.5 * r.dot(r) / n), X.T.dot(r) / n
 
@@ -213,13 +209,11 @@ class LogisticObjective(Objective):
         """The signs ``s = 2 y - 1``."""
         return 2.0 * np.asarray(y, dtype=np.float64) - 1.0
 
-    def loss_grad(self, params, X, y):
-        params = self._check(params, X)
-        s = self.prepare(y)
-        margins = s * X.dot(params)
+    def _loss_grad(self, params, X, t, labels):
+        margins = t * X.dot(params)
         data = float(np.mean(np.logaddexp(0.0, -margins)))
         loss = data + 0.5 * self.l2 * float(np.dot(params, params))
-        return loss, self._grad_at(params, X, s, margins)
+        return loss, self._grad_at(params, X, t, margins)
 
     def _grad(self, params, X, t):
         return self._grad_at(params, X, t, t * X.dot(params))
@@ -260,26 +254,10 @@ class MlpObjective(Objective):
         self.dim = d_in * hidden + hidden + hidden * classes + classes
 
     def _unpack(self, params: np.ndarray):
+        """The views ``(W1, b1, W2, b2)`` of a vector of length ``dim``."""
         d, h, c = self.d_in, self.hidden, self.classes
-        i = 0
-        W1 = params[i : i + d * h].reshape(d, h)
-        i += d * h
-        b1 = params[i : i + h]
-        i += h
-        W2 = params[i : i + h * c].reshape(h, c)
-        i += h * c
-        b2 = params[i : i + c]
-        return W1, b1, W2, b2
-
-    def _forward(self, params, X):
-        """``(W2, A1, logits)``: the output weights, which the backward
-        pass reuses, the hidden activations and the logits."""
-        W1, b1, W2, b2 = self._unpack(params)
-        A1 = X.dot(W1)
-        np.tanh(np.add(A1, b1, out=A1), out=A1)
-        logits = A1.dot(W2)
-        logits += b2
-        return W2, A1, logits
+        i, j, k = d * h, d * h + h, d * h + h + h * c
+        return params[:i].reshape(d, h), params[i:j], params[j:k].reshape(h, c), params[k:]
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -291,40 +269,70 @@ class MlpObjective(Objective):
         logits -= np.log(np.add.reduce(np.exp(logits), axis=1, keepdims=True))
         return logits
 
-    def loss_grad(self, params, X, y):
-        params = self._check(params, X)
-        W2, A1, logits = self._forward(params, X)
+    def _bind(self, params):
+        """``(forward, backward)`` bound to ``params``: its ``W1, b1, W2,
+        b2`` views and ``W2.T`` are made once, here, so both see in-place
+        updates of ``params``, and ``backward`` writes every gradient block
+        into one vector of its own, which it returns on every call."""
+        W1, b1, W2, b2 = self._unpack(params)
+        W2T = W2.T
+        g = np.empty(self.dim)
+        gW1, gb1, gW2, gb2 = self._unpack(g)
+
+        def forward(X):
+            """``(A1, logits)``: the hidden activations and the logits."""
+            A1 = X.dot(W1)
+            np.tanh(np.add(A1, b1, out=A1), out=A1)
+            logits = A1.dot(W2)
+            logits += b2
+            return A1, logits
+
+        def backward(X, A1, P, onehot):
+            """The gradient from the hidden activations ``A1`` and the
+            softmax ``P``, both of which it overwrites. Subtracting a
+            one-hot row changes only the target's entry, since
+            ``p - 0.0 == p``."""
+            P -= onehot
+            P /= _row_count(X.shape[0])
+            np.dot(A1.T, P, out=gW2)
+            np.add.reduce(P, axis=0, out=gb2)
+            dZ1 = P.dot(W2T)
+            A1 *= A1
+            dZ1 *= np.subtract(1.0, A1, out=A1)
+            np.dot(X.T, dZ1, out=gW1)
+            np.add.reduce(dZ1, axis=0, out=gb1)
+            return g
+
+        return forward, backward
+
+    def _step_kernel(self, params):
+        forward, backward = self._bind(params)
+        log_softmax = self._log_softmax
+
+        def step(X, t):
+            A1, logits = forward(X)
+            return backward(X, A1, np.exp(log_softmax(logits), out=logits), t)
+
+        return step
+
+    def _grad(self, params, X, t):
+        return self._step_kernel(params)(X, t)
+
+    def _loss_grad(self, params, X, t, labels):
+        forward, backward = self._bind(params)
+        A1, logits = forward(X)
         logp = self._log_softmax(logits)
-        idx = np.asarray(y).astype(np.int64)
-        loss = float(-np.mean(logp[np.arange(logp.shape[0]), idx]))
-        return loss, self._backward(W2, X, A1, np.exp(logp, out=logp), self.prepare(y))
+        loss = float(-np.mean(logp[np.arange(logp.shape[0]), labels]))
+        return loss, backward(X, A1, np.exp(logp, out=logp), t)
 
     def prepare(self, y):
         """One-hot rows: ``prepare(y)[..., j]`` is 1.0 where ``y == j``."""
         return np.eye(self.classes)[np.asarray(y).astype(np.int64)]
 
-    def _grad(self, params, X, t):
-        W2, A1, logits = self._forward(params, X)
-        return self._backward(W2, X, A1, np.exp(self._log_softmax(logits), out=logits), t)
-
-    def _backward(self, W2, X, A1, P, onehot):
-        """The gradient from the hidden activations ``A1`` and the softmax
-        ``P``, both of which it overwrites. Subtracting a one-hot row
-        changes only the target's entry, since ``p - 0.0 == p``."""
-        P -= onehot
-        P /= _row_count(X.shape[0])
-        g = np.empty(self.dim)
-        gW1, gb1, gW2, gb2 = self._unpack(g)
-        np.dot(A1.T, P, out=gW2)
-        np.add.reduce(P, axis=0, out=gb2)
-        dZ1 = P.dot(W2.T)
-        A1 *= A1
-        dZ1 *= np.subtract(1.0, A1, out=A1)
-        np.dot(X.T, dZ1, out=gW1)
-        np.add.reduce(dZ1, axis=0, out=gb1)
-        return g
+    def targets(self, y):
+        labels = np.asarray(y).astype(np.int64)
+        return self.prepare(labels), labels
 
     def predict(self, params, X):
-        params = self._check(params, X)
-        _, _, logits = self._forward(params, X)
-        return logits.argmax(axis=1)
+        forward, _ = self._bind(self._check(params, X))
+        return forward(X)[1].argmax(axis=1)

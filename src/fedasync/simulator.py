@@ -155,13 +155,16 @@ class ExperimentConfig:
 
 @dataclass
 class Problem:
-    """Materialized task: objective, splits, device shards, start point."""
+    """Materialized task: objective, splits, device shards, start point,
+    and the training split's ``objective.targets``, prepared read-only
+    once per problem, so that no evaluation row prepares them again."""
 
     objective: Objective
     train: Dataset
     eval_set: Dataset
     shards: list[Shard]
     x0: np.ndarray
+    train_targets: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -207,15 +210,19 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
         x0 = domain_rng(cfg.seed, INIT_DOMAIN).standard_normal(objective.dim) * 0.1
     else:
         x0 = np.zeros(objective.dim)
-    return Problem(objective=objective, train=train, eval_set=eval_set, shards=shards, x0=x0)
+    train_targets = tuple(a.view() for a in objective.targets(train.targets))
+    for a in train_targets:
+        a.setflags(write=False)
+    return Problem(objective, train, eval_set, shards, x0, train_targets)
 
 
 def make_record(problem: Problem, state: ServerState, sim_time: float) -> MetricsRecord:
     """Evaluate the server's model: loss and gradient norm on the full
-    training split, accuracy on the held-out split; epoch, gradients,
-    ``alpha_t`` and staleness as ``state`` holds them."""
+    training split (unchecked, from its prepared targets), accuracy on the
+    held-out split; epoch, gradients, ``alpha_t`` and staleness as
+    ``state`` holds them."""
     obj, params = problem.objective, state.params
-    loss, g = obj.loss_grad(params, problem.train.features, problem.train.targets)
+    loss, g = obj._loss_grad(params, problem.train.features, *problem.train_targets)
     return MetricsRecord(
         epoch=state.epoch,
         gradients=state.n_gradients,

@@ -154,14 +154,15 @@ def _descend(
 
     ``checked`` raises ``DivergenceError`` at the first step whose
     gradient or iterate is not finite; the caller has validated the
-    anchor and the features, so the unchecked gradient kernel is used.
+    anchor and the features, so the unchecked step kernel is used, bound
+    once to the iterate, which every step updates in place.
     """
-    grad, prox = objective._grad, cfg.rho != 0.0
     # 0-d arrays: numpy scales by them without converting a Python float
     gamma, rho = np.array(cfg.gamma), np.array(cfg.rho)
     x = anchor.copy()
+    step, prox = objective._step_kernel(x), cfg.rho != 0.0
     for h, (X, t) in enumerate(batches):
-        g = grad(x, X, t)
+        g = step(X, t)
         if prox:
             g += rho * (x - anchor)
         if checked and not np.isfinite(g).all():

@@ -23,8 +23,8 @@ from fedasync.numerics import (
     LogisticObjective,
     MlpObjective,
     QuadraticObjective,
-    finite_diff_grad,
 )
+from finite_diff import finite_diff_grad
 from fedasync.server import ServerConfig, decay_factor, staleness_weight
 from fedasync.simulator import (
     DelayModel,

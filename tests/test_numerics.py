@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedasync.data import gen_classification, gen_regression, partition_non_iid
+from fedasync.data import Shard, gen_classification, gen_regression, partition_non_iid
 from fedasync.numerics import (
     LogisticObjective,
     MlpObjective,
     QuadraticObjective,
-    finite_diff_grad,
     mix,
 )
+from fedasync.worker import WorkerConfig, local_train
+from finite_diff import finite_diff_grad
 
 # one float64 ulp of relative slack for algebraic identities evaluated
 # through the (1 - a) * x + a * y expression
@@ -469,6 +470,54 @@ class TestInPlaceMlpKernel:
                     got = MlpObjective._log_softmax(logits.copy())
                     want = _ReferenceMlp._log_softmax(logits)
                 assert _same_bits(got, want)
+
+
+class TestBoundStepKernel:
+    """A local task binds the iterate to the MLP step kernel once and steps
+    it in place. Its final iterate must equal, bit for bit, a step loop
+    that calls :class:`_ReferenceMlp` afresh at every step, with the
+    update rule of ``local_train``: ``g += rho * (x - anchor)`` when
+    ``rho`` is not 0, then ``g *= gamma`` and ``x -= g``. Nine classes
+    take numpy's pairwise row sums."""
+
+    @staticmethod
+    def _reference(obj, shard, anchor, cfg, rng):
+        steps = int(rng.integers(cfg.h_min, cfg.h_max + 1))
+        if cfg.batch_size is None:
+            batches = [(shard.features, shard.targets)] * steps
+        else:
+            idx = rng.integers(0, len(shard), size=(steps, cfg.batch_size))
+            batches = zip(shard.features.take(idx, axis=0), shard.targets[idx])
+        gamma, rho, x = np.array(cfg.gamma), np.array(cfg.rho), anchor.copy()
+        for X, y in batches:
+            g = _ReferenceMlp(obj)._grad(x, X, obj.prepare(y))
+            if cfg.rho != 0.0:
+                g += rho * (x - anchor)
+            g *= gamma
+            x -= g
+        return x
+
+    @pytest.mark.parametrize("d_in, hidden, classes, batch", [
+        (10, 16, 3, 50), (10, 105, 4, 20), (3, 1, 2, 1), (5, 7, 9, 13),
+    ])
+    @pytest.mark.parametrize("rho", [0.0, 0.005])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_task_matches_a_fresh_reference_step_loop(
+        self, d_in, hidden, classes, batch, rho, full
+    ):
+        rng = np.random.default_rng(d_in * 1000 + hidden)
+        obj = MlpObjective(d_in, hidden, classes)
+        n = 3 * batch + 7
+        shard = Shard(0, rng.standard_normal((n, d_in)), rng.integers(0, classes, n), np.arange(n))
+        anchor = rng.standard_normal(obj.dim)
+        cfg = WorkerConfig(
+            gamma=0.5, rho=rho, h_min=6, h_max=9, batch_size=None if full else batch
+        )
+        seed = int(rng.integers(2**32))
+        upd = local_train(obj, shard, anchor, 0, cfg, np.random.default_rng(seed))
+        want = self._reference(obj, shard, anchor, cfg, np.random.default_rng(seed))
+        assert upd.local_iters >= 6
+        assert _same_bits(upd.params, want)
 
 
 class _ReferenceQuadratic:

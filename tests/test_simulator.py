@@ -99,6 +99,31 @@ class TestBuildProblem:
         assert np.any(a.x0 != 0.0)
         np.testing.assert_array_equal(a.x0, b.x0)
 
+    @pytest.mark.parametrize("task", ["quadratic", "logistic", "mlp"])
+    def test_record_is_a_fresh_loss_grad_and_accuracy(self, task):
+        # make_record reads the targets prepared once per problem
+        cfg = _cfg(task=task, n_classes=2 if task == "logistic" else 3, hidden=4)
+        problem = build_problem(cfg)
+        obj, train, held = problem.objective, problem.train, problem.eval_set
+        state = ServerState.create(np.random.default_rng(1).standard_normal(obj.dim))
+        rec = simulator.make_record(problem, state, 2.5)
+        loss, g = obj.loss_grad(state.params, train.features, train.targets)
+        assert np.float64(rec.loss).tobytes() == np.float64(loss).tobytes()
+        assert np.float64(rec.grad_norm_sq).tobytes() == np.float64(np.dot(g, g)).tobytes()
+        assert rec.accuracy == obj.accuracy(state.params, held.features, held.targets)
+        assert (rec.epoch, rec.gradients, rec.sim_time) == (0, 0, 2.5)
+
+    def test_prepared_targets_are_read_only_and_kept_by_a_run(self):
+        cfg = _cfg(task="mlp", n_classes=3, hidden=4, total_epochs=20)
+        problem = build_problem(cfg)
+        onehot, labels = problem.train_targets
+        kept = onehot.copy(), labels.copy()
+        assert not onehot.flags.writeable and not labels.flags.writeable
+        np.testing.assert_array_equal(onehot, problem.objective.prepare(problem.train.targets))
+        np.testing.assert_array_equal(labels, problem.train.targets)
+        run_fedasync_latency(cfg, problem)
+        assert onehot.tobytes() == kept[0].tobytes() and labels.tobytes() == kept[1].tobytes()
+
     def test_shards_cover_training_split(self):
         problem = build_problem(_cfg())
         got = np.sort(np.concatenate([s.indices for s in problem.shards]))

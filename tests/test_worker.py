@@ -340,6 +340,20 @@ class TestFusedTask:
                 local_train(objective, shard, anchor, 0, cfg, np.random.default_rng(5))
         assert err.value.iteration == 3
 
+    @pytest.mark.parametrize("batch_size", [50, None])
+    @pytest.mark.parametrize("gamma, step", [(1e30, 11), (1e60, 5), (1e150, 2)])
+    def test_mlp_divergence_step_is_pinned(self, batch_size, gamma, step):
+        # the step indices the per-step kernel gave before the iterate was
+        # bound to the step kernel once per task
+        obj = MlpObjective(10, 16, 3)
+        rng = np.random.default_rng(23)
+        X, y = rng.standard_normal((60, 10)), rng.integers(0, 3, 60)
+        anchor = rng.standard_normal(obj.dim)
+        cfg = WorkerConfig(gamma=gamma, rho=0.005, h_min=12, h_max=12, batch_size=batch_size)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            local_train(obj, Shard(0, X, y, np.arange(60)), anchor, 0, cfg, np.random.default_rng(7))
+        assert err.value.iteration == step
+
     def test_invalid_anchor_rejected_before_any_draw(self):
         objective, shard = _problem("quadratic", 20)
         cfg = WorkerConfig(gamma=0.1, h_min=2, h_max=4, batch_size=2)
