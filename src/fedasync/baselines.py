@@ -45,7 +45,6 @@ def run_fedavg(
     cfg: ExperimentConfig,
     problem: Problem | None = None,
     favg: FedAvgConfig | None = None,
-    record_trajectory: bool = False,
 ) -> RunResult:
     """Synchronous rounds: sample ``k`` devices, average their results.
 
@@ -101,13 +100,12 @@ def run_fedavg(
             state.n_gradients += sum(u.local_iters for u in results)
             yield 0.0
 
-    return drive(RunLoop(cfg, problem, state, record_trajectory), schedule())
+    return drive(RunLoop(cfg, problem, state), schedule())
 
 
 def run_serial_sgd(
     cfg: ExperimentConfig,
     problem: Problem | None = None,
-    record_trajectory: bool = False,
 ) -> RunResult:
     """Single-stream SGD over the pooled training data: FedAvg with one
     device holding the whole training split, ``k=1`` and one local step
@@ -134,5 +132,4 @@ def run_serial_sgd(
         replace(cfg, n_workers=1),
         replace(problem, shards=[pooled]),
         FedAvgConfig(k=1, local_steps=1),
-        record_trajectory,
     )

@@ -57,7 +57,15 @@ from fedasync.simulator import (
 from fedasync.transport import FrameError, TransportServer, worker_loop
 from fedasync.worker import DivergenceError, WorkerConfig
 
-ALGORITHMS = ("fedasync-sampled", "fedasync-latency", "fedasync-net", "fedavg", "sgd")
+# Each runner is looked up when called, so a patched cli.run_* sees every run.
+_RUNNERS: dict[str, Callable[[RunSpec, ExperimentConfig], RunResult]] = {
+    "fedasync-sampled": lambda spec, cfg: run_fedasync_sampled(cfg),
+    "fedasync-latency": lambda spec, cfg: run_fedasync_latency(cfg),
+    "fedasync-net": lambda spec, cfg: _run_net(cfg),
+    "fedavg": lambda spec, cfg: run_fedavg(cfg, favg=spec.favg),
+    "sgd": lambda spec, cfg: run_serial_sgd(cfg),
+}
+ALGORITHMS = tuple(_RUNNERS)
 
 
 class ConfigError(Exception):
@@ -304,20 +312,6 @@ def _run_net(cfg: ExperimentConfig) -> RunResult:
     return server.wait()
 
 
-def _dispatch(spec: RunSpec, cfg: ExperimentConfig) -> RunResult:
-    if spec.algorithm == "fedasync-sampled":
-        return run_fedasync_sampled(cfg)
-    if spec.algorithm == "fedasync-latency":
-        return run_fedasync_latency(cfg)
-    if spec.algorithm == "fedasync-net":
-        return _run_net(cfg)
-    if spec.algorithm == "fedavg":
-        return run_fedavg(cfg, favg=spec.favg)
-    if spec.algorithm == "sgd":
-        return run_serial_sgd(cfg)
-    raise AssertionError(f"unhandled algorithm {spec.algorithm}")
-
-
 def _rep_header(spec: RunSpec, rep: int) -> dict[str, object]:
     header = dict(spec.resolved)
     header["rep"] = rep
@@ -360,6 +354,14 @@ def gradients_to_threshold(rows: list[dict], frac: float) -> float | None:
     return None
 
 
+def _final_cells(rows: list[dict], frac: float) -> tuple[str, str]:
+    """The last row's accuracy and the gradients to ``frac`` x initial
+    loss, as printed: ``n/a`` without accuracy, ``never`` if not reached."""
+    acc, reached = rows[-1]["accuracy"], gradients_to_threshold(rows, frac)
+    acc_text = "n/a" if acc is None else f"{acc:.4f}"
+    return acc_text, "never" if reached is None else f"{reached:.1f}"
+
+
 def cmd_run(args) -> int:
     spec = parse_config(args.config, args.overrides)
     try:
@@ -378,7 +380,7 @@ def cmd_run(args) -> int:
         rep_path = os.path.join(args.out, f"rep{rep:03d}.csv")
         header = _rep_header(spec, rep)
         try:
-            result = _dispatch(spec, cfg)
+            result = _RUNNERS[spec.algorithm](spec, cfg)
         except RunFailure as exc:
             rows = (rec.cells() for rec in exc.records)
             write_csv(rep_path, rows, header, footer=f"run-failed: {exc}")
@@ -400,9 +402,7 @@ def cmd_run(args) -> int:
     write_csv(summary_path, ([cell(row[n]) for n in FIELDS] for row in rows), summary_header)
 
     final = rows[-1]
-    reached = gradients_to_threshold(rows, spec.threshold_frac)
-    acc = "n/a" if final["accuracy"] is None else f"{final['accuracy']:.4f}"
-    reach = "never" if reached is None else f"{reached:.1f}"
+    acc, reach = _final_cells(rows, spec.threshold_frac)
     print(
         f"{spec.algorithm}: final loss {final['loss']:.6g}, accuracy {acc}, "
         f"gradients {final['gradients']:.1f}; "
@@ -458,9 +458,7 @@ def cmd_compare(args) -> int:
     print(f"{'run':40s} {'final_loss':>12s} {'final_acc':>10s} {'gradients':>11s} {'to_threshold':>13s}")
     for path, header, rows in loaded:
         final = rows[-1]
-        reached = gradients_to_threshold(rows, args.threshold)
-        acc = "n/a" if final["accuracy"] is None else f"{final['accuracy']:.4f}"
-        reach = "never" if reached is None else f"{reached:.1f}"
+        acc, reach = _final_cells(rows, args.threshold)
         print(
             f"{path[-40:]:40s} {final['loss']:>12.6g} {acc:>10s} "
             f"{final['gradients']:>11.1f} {reach:>13s}"

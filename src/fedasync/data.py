@@ -8,7 +8,7 @@ execution mode it runs in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,16 +51,12 @@ class Dataset:
         ``"regression"`` or ``"classification"``.
     n_classes : int
         Number of classes; 0 for regression.
-    true_params : ndarray or None
-        The planted parameter vector for synthetic regression tasks, kept
-        so tests can measure recovery. Not persisted by ``save_dataset``.
     """
 
     features: np.ndarray
     targets: np.ndarray
     task: str
     n_classes: int = 0
-    true_params: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.task not in ("regression", "classification"):
@@ -118,7 +114,6 @@ def gen_regression(
         features=X,
         targets=X @ w_true + noise,
         task="regression",
-        true_params=w_true,
     )
 
 
@@ -265,7 +260,6 @@ def train_eval_split(dataset: Dataset, eval_frac: float, seed: int) -> tuple[Dat
             targets=dataset.targets[idx],
             task=dataset.task,
             n_classes=dataset.n_classes,
-            true_params=dataset.true_params,
         )
 
     return _take(train_idx), _take(eval_idx)
@@ -278,7 +272,6 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     Rows: the target first, then the features, space separated. Floats
     use shortest round-trip repr, so ``numpy.loadtxt`` reads the rows back
     bit-exactly.
-    ``true_params`` is not persisted.
     """
     with open(path, "w", encoding="ascii") as fh:
         fh.write(

@@ -14,8 +14,6 @@ import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 CSV_HEADER = "epoch,gradients,loss,grad_norm_sq,accuracy,alpha_t,staleness,sim_time"
 FIELDS = CSV_HEADER.split(",")
 INT_FIELDS = ("epoch", "gradients", "staleness")  # written with str(); the rest are floats
@@ -130,14 +128,8 @@ def write_metrics_jsonl(records: list[MetricsRecord], path: str) -> None:
 
 
 def save_params(params, path: str) -> None:
-    """One coordinate per line, shortest round-trip repr; bit-exact reload."""
+    """One coordinate per line, shortest round-trip repr, so
+    ``numpy.loadtxt(path, ndmin=1)`` reads the vector back bit for bit."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for v in params:
             fh.write(repr(float(v)) + "\n")
-
-
-def load_params(path: str) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        values = [float(line) for line in fh if line.strip()]
-    return np.array(values, dtype=np.float64)
-

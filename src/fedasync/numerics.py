@@ -23,9 +23,8 @@ without converting a Python scalar; the quotient's bits are the same.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -48,29 +47,15 @@ def _as_params(x) -> np.ndarray:
 
 
 def mix(current: np.ndarray, incoming: np.ndarray, alpha: float) -> np.ndarray:
-    """Convex combination ``(1 - alpha) * current + alpha * incoming``.
+    """Convex combination ``(1 - alpha) * current + alpha * incoming``,
+    a new float64 vector; inputs are never modified.
 
-    Parameters
-    ----------
-    current, incoming : ndarray
-        Parameter vectors of identical length.
-    alpha : float
-        Mixing weight in ``[0, 1]``. ``alpha=0`` returns a copy of
-        ``current``; ``alpha=1`` a copy of ``incoming``.
-
-    Returns
-    -------
-    ndarray
-        New float64 vector; inputs are never modified.
+    Unchecked: its one caller, :func:`fedasync.server.apply_update`,
+    passes the server's model, an update already checked where it entered
+    (in process by :func:`fedasync.worker.local_train`, over TCP by the
+    server session), and an ``alpha`` the server configuration keeps in
+    ``(0, 1]``.
     """
-    current = _as_params(current)
-    incoming = _as_params(incoming)
-    if current.shape != incoming.shape:
-        raise ValueError(
-            f"dimension mismatch: {current.shape[0]} vs {incoming.shape[0]}"
-        )
-    if not math.isfinite(alpha) or not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
     return (1.0 - alpha) * current + alpha * incoming
 
 
@@ -127,10 +112,12 @@ class Objective(ABC):
         overwrite."""
 
     def _step_kernel(self, params: np.ndarray):
-        """``step(X, t)``, bit for bit ``_grad(params, X, t)`` at the values
-        ``params`` holds when called, for a task that updates it in place.
-        The gradient it returns is the caller's until the next call."""
-        return partial(self._grad, params)
+        """``step(params, X, t)``, bit for bit ``_grad(params, X, t)``, for a
+        task that updates ``params`` in place and passes it to every call.
+        Here it is :meth:`_grad` itself; the MLP binds its views to
+        ``params`` once and ignores the first argument. The gradient it
+        returns is the caller's until the next call."""
+        return self._grad
 
     @abstractmethod
     def _loss_grad(
@@ -309,14 +296,14 @@ class MlpObjective(Objective):
         forward, backward = self._bind(params)
         log_softmax = self._log_softmax
 
-        def step(X, t):
+        def step(_params, X, t):
             A1, logits = forward(X)
             return backward(X, A1, np.exp(log_softmax(logits), out=logits), t)
 
         return step
 
     def _grad(self, params, X, t):
-        return self._step_kernel(params)(X, t)
+        return self._step_kernel(params)(params, X, t)
 
     def _loss_grad(self, params, X, t, labels):
         forward, backward = self._bind(params)

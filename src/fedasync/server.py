@@ -73,10 +73,8 @@ def decay_factor(cfg: ServerConfig, staleness: int) -> float:
     Families: constant 1; polynomial ``(staleness + 1) ** -poly_a``;
     hinge 1 up to ``hinge_b``, then ``1 / (hinge_a * (staleness -
     hinge_b) + 1)``. All give factor 1 at staleness 0 and none ever
-    increases with staleness.
+    increases with staleness. Unchecked: no push is from a future epoch.
     """
-    if staleness < 0:
-        raise ValueError(f"staleness must be >= 0, got {staleness}")
     if cfg.strategy == "constant":
         return 1.0
     if cfg.strategy == "polynomial":
@@ -167,8 +165,6 @@ def plan_triggers(
     idle set round-robin starting at ``cursor`` so no worker starves.
     Returns the workers to trigger and the advanced cursor.
     """
-    if in_flight < 0 or max_staleness < 0:
-        raise ValueError("in_flight and max_staleness must be >= 0")
     cap = max_staleness + 1
     free = cap - in_flight
     if free <= 0 or not idle_workers:

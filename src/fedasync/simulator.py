@@ -1,10 +1,9 @@
 """Deterministic in-process execution of the asynchronous protocol.
 
 :func:`drive` is the run loop of every in-process algorithm (these two
-modes and the baselines): evaluation schedule, trajectory, divergence
-handling and the :class:`RunResult`. Each runner supplies only its
-scheduler, the generator that decides which worker trains next and
-commits its update. The TCP server takes the same :class:`RunLoop`
+modes and the baselines): evaluation schedule, divergence handling and
+the :class:`RunResult`. Each runner supplies only its scheduler, the
+generator that decides which worker trains next and commits its update. The TCP server takes the same :class:`RunLoop`
 step from its selector loop.
 
 Two modes share all of the numeric machinery and differ only in how
@@ -172,9 +171,6 @@ class RunResult:
     records: list[MetricsRecord]
     final_params: np.ndarray
     state: ServerState
-    trajectory: list[np.ndarray] | None = None
-    # (worker_id, staleness) per applied update; latency mode only
-    apply_log: list[tuple[int, int]] | None = None
 
 
 def generate_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -239,31 +235,27 @@ class RunLoop:
     """The run loop's step, taken after each committed update by
     :func:`drive` and by the TCP server's selector loop. It
     evaluates the model at epoch 0, after every ``cfg.eval_every`` epochs
-    and at the last epoch, ``cfg.total_epochs``; with ``record_trajectory``
-    it keeps a copy of the model after every update."""
+    and at the last epoch, ``cfg.total_epochs``. Every committed model of
+    every algorithm passes through :meth:`step`."""
 
     def __init__(
         self,
         cfg: ExperimentConfig,
         problem: Problem,
         state: ServerState,
-        record_trajectory: bool = False,
     ):
         self.problem, self.state, self.every = problem, state, cfg.eval_every
         self.last = cfg.total_epochs
         self.records = [make_record(problem, state, 0.0)]
-        self.trajectory: list[np.ndarray] | None = [] if record_trajectory else None
 
     def step(self, sim_time: float) -> None:
         """Account for the update just committed to ``state`` at ``sim_time``."""
         state = self.state
-        if self.trajectory is not None:
-            self.trajectory.append(state.params.copy())
         if state.epoch % self.every == 0 or state.epoch == self.last:
             self.records.append(make_record(self.problem, state, sim_time))
 
     def result(self) -> RunResult:
-        return RunResult(self.records, self.state.params.copy(), self.state, self.trajectory)
+        return RunResult(self.records, self.state.params.copy(), self.state)
 
 
 def drive(run: RunLoop, schedule: Iterator[float]) -> RunResult:
@@ -283,7 +275,6 @@ def drive(run: RunLoop, schedule: Iterator[float]) -> RunResult:
 def run_fedasync_sampled(
     cfg: ExperimentConfig,
     problem: Problem | None = None,
-    record_trajectory: bool = False,
 ) -> RunResult:
     """Sampled-staleness mode.
 
@@ -318,13 +309,12 @@ def run_fedasync_sampled(
             apply_update(state, cfg.server, upd)
             yield 0.0
 
-    return drive(RunLoop(cfg, problem, state, record_trajectory), schedule())
+    return drive(RunLoop(cfg, problem, state), schedule())
 
 
 def run_fedasync_latency(
     cfg: ExperimentConfig,
     problem: Problem | None = None,
-    record_trajectory: bool = False,
 ) -> RunResult:
     """Discrete-event mode.
 
@@ -342,7 +332,6 @@ def run_fedasync_latency(
     state = ServerState.create(problem.x0)
     worker_streams = [worker_rng(cfg.seed, w) for w in range(cfg.n_workers)]
     delay_streams = [delay_rng(cfg.seed, w) for w in range(cfg.n_workers)]
-    apply_log: list[tuple[int, int]] = []
 
     def schedule():
         heap: list[tuple[float, int, int, tuple[int, np.ndarray]]] = []  # pulls in flight
@@ -373,11 +362,8 @@ def run_fedasync_latency(
                 continue
             upd = local_train(problem.objective, shard, params, tau, cfg.worker, stream, w)
             apply_update(state, cfg.server, upd)
-            apply_log.append((w, state.last_staleness))
             yield now
             if state.epoch < cfg.total_epochs:
                 dispatch(now)
 
-    result = drive(RunLoop(cfg, problem, state, record_trajectory), schedule())
-    result.apply_log = apply_log
-    return result
+    return drive(RunLoop(cfg, problem, state), schedule())

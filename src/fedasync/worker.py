@@ -162,7 +162,7 @@ def _descend(
     x = anchor.copy()
     step, prox = objective._step_kernel(x), cfg.rho != 0.0
     for h, (X, t) in enumerate(batches):
-        g = step(X, t)
+        g = step(x, X, t)
         if prox:
             g += rho * (x - anchor)
         if checked and not np.isfinite(g).all():

@@ -18,7 +18,6 @@ import pytest
 
 from fedasync.baselines import FedAvgConfig, run_fedavg, run_serial_sgd
 from fedasync.cli import main, parse_config
-from fedasync.metrics import load_params
 from fedasync.numerics import (
     LogisticObjective,
     MlpObjective,
@@ -48,6 +47,7 @@ from fedasync.transport import (
     encode,
 )
 from fedasync.worker import WorkerConfig
+from watch import watching
 
 
 def test_criterion_01_gradient_oracle():
@@ -84,10 +84,12 @@ def test_criterion_02_serial_sgd_equivalence():
         seed=11,
         eval_every=500,
     )
-    serial = run_serial_sgd(cfg, record_trajectory=True)
-    fed = run_fedasync_sampled(cfg, record_trajectory=True)
-    assert len(serial.trajectory) == len(fed.trajectory) == 500
-    for ours, ref in zip(fed.trajectory, serial.trajectory):
+    with watching() as (serial, _):
+        run_serial_sgd(cfg)
+    with watching() as (fed, _):
+        run_fedasync_sampled(cfg)
+    assert len(serial) == len(fed) == 500
+    for ours, ref in zip(fed, serial):
         assert np.max(np.abs(ours - ref)) <= 1e-12
     assert time.perf_counter() - t0 < 5.0
 
@@ -140,9 +142,10 @@ def test_criterion_04_bounded_delay_invariant():
                 kind="exponential",
             ),
         )
-        result = run_fedasync_latency(cfg)
-        assert len(result.apply_log) == 40
-        assert all(0 <= s <= bound for _, s in result.apply_log)
+        with watching() as (_, applied):
+            result = run_fedasync_latency(cfg)
+        assert len(applied) == 40
+        assert all(0 <= s <= bound for _, s in applied)
         assert [r.epoch for r in result.records] == list(range(41))
     assert time.perf_counter() - t0 < 60.0
 
@@ -329,7 +332,7 @@ def test_criterion_09_loopback_matches_simulator(tmp_path):
     spec = parse_config(None, ["algorithm=fedasync-sampled"] + overrides,
                         require_algorithm=False)
     sim = run_fedasync_sampled(spec.cfg)
-    served = load_params(out / "final_params.txt")
+    served = np.loadtxt(out / "final_params.txt", ndmin=1)
     assert np.max(np.abs(served - sim.final_params)) <= 1e-12
     assert time.perf_counter() - t0 < 30.0
 

@@ -12,6 +12,7 @@ from fedasync.simulator import (
     run_fedasync_sampled,
 )
 from fedasync.worker import WorkerConfig
+from watch import watching
 
 
 def _cfg(**over):
@@ -169,10 +170,12 @@ class TestSerialSgd:
             server=ServerConfig(alpha=1.0, max_staleness=0),
             worker=WorkerConfig(gamma=0.1, rho=0.0, h_min=1, h_max=1, batch_size=8),
         )
-        sgd = run_serial_sgd(_cfg(**shared), record_trajectory=True)
-        fed = run_fedasync_sampled(_cfg(**shared), record_trajectory=True)
-        assert len(sgd.trajectory) == len(fed.trajectory) == 100
-        for a, b in zip(sgd.trajectory, fed.trajectory):
+        with watching() as (sgd, _):
+            run_serial_sgd(_cfg(**shared))
+        with watching() as (fed, _):
+            run_fedasync_sampled(_cfg(**shared))
+        assert len(sgd) == len(fed) == 100
+        for a, b in zip(sgd, fed):
             np.testing.assert_array_equal(a, b)
 
     def test_divergence_becomes_run_failure(self):

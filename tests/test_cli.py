@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import fedasync.transport as transport
 from fedasync.baselines import FedAvgConfig
 from fedasync.cli import (
+    ALGORITHMS,
     KEYS,
     ConfigError,
     RunSpec,
@@ -28,11 +29,12 @@ from fedasync.cli import (
     parse_config,
 )
 from fedasync.data import gen_classification
-from fedasync.metrics import FIELDS, MetricsRecord, load_params, read_csv
+from fedasync.metrics import FIELDS, MetricsRecord, read_csv
 from fedasync.rules import rule_of
 from fedasync.server import ServerConfig
 from fedasync.simulator import DelayModel, ExperimentConfig, run_fedasync_sampled
 from fedasync.worker import WorkerConfig
+from watch import watching
 
 SMALL = [
     "task=quadratic",
@@ -276,6 +278,20 @@ class TestCmdRun:
         assert "# rep_seed=3" in text
         stdout = capsys.readouterr().out
         assert "final loss" in stdout and "summary written" in stdout
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_commit_is_seen_from_outside(self, tmp_path, algorithm):
+        # every runner steps the one RunLoop: a recorder wrapped around it
+        # sees total_epochs commits, the last one the model the run saved
+        out = tmp_path / "run"
+        extra = ["k=2"] if algorithm == "fedavg" else []
+        with watching() as (models, _):
+            rc = main(["run", "--out", str(out), f"algorithm={algorithm}", "repeats=1"]
+                      + SMALL + extra)
+        assert rc == 0
+        assert len(models) == 30
+        final = np.loadtxt(out / "rep000_params.txt", ndmin=1)
+        assert models[-1].tobytes() == final.tobytes()
 
     def test_summary_rows_are_rep_means(self, tmp_path):
         out = tmp_path / "run"
@@ -624,7 +640,7 @@ class TestServeWorkerCommands:
         spec = parse_config(None, ["algorithm=fedasync-sampled"] + overrides,
                             require_algorithm=False)
         sim = run_fedasync_sampled(spec.cfg)
-        np.testing.assert_array_equal(load_params(out / "final_params.txt"),
+        np.testing.assert_array_equal(np.loadtxt(out / "final_params.txt", ndmin=1),
                                       sim.final_params)
         assert (out / "metrics.csv").exists()
 

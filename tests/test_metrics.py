@@ -8,7 +8,6 @@ import pytest
 from fedasync.metrics import (
     CSV_HEADER,
     MetricsRecord,
-    load_params,
     read_csv,
     save_params,
     write_metrics_csv,
@@ -113,7 +112,7 @@ class TestParamsFile:
         params = rng.standard_normal(64)
         path = tmp_path / "p.txt"
         save_params(params, str(path))
-        back = load_params(str(path))
+        back = np.loadtxt(path, ndmin=1)
         np.testing.assert_array_equal(back, params)
         assert back.dtype == np.float64
 

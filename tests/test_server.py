@@ -115,11 +115,6 @@ class TestStalenessWeight:
             assert factors[0] == 1.0
             assert all(0.0 < f <= 1.0 for f in factors)
 
-    def test_negative_staleness_rejected(self):
-        cfg = ServerConfig(alpha=0.5)
-        with pytest.raises(ValueError, match="staleness"):
-            staleness_weight(cfg, -1)
-
 
 class TestApplyUpdate:
     def test_fresh_update_is_plain_mix(self):
@@ -273,12 +268,6 @@ class TestPlanTriggers:
         chosen, cursor = plan_triggers([], in_flight=0, max_staleness=3, cursor=7)
         assert chosen == []
         assert cursor == 7
-
-    def test_invalid_counts_rejected(self):
-        with pytest.raises(ValueError):
-            plan_triggers([0], in_flight=-1, max_staleness=0, cursor=0)
-        with pytest.raises(ValueError):
-            plan_triggers([0], in_flight=0, max_staleness=-1, cursor=0)
 
     def test_no_worker_starves_under_rotation(self):
         # repeatedly dispatch one worker at a time; every worker appears

@@ -18,6 +18,7 @@ from fedasync.simulator import (
     run_fedasync_sampled,
 )
 from fedasync.worker import DivergenceError, WorkerConfig, local_train
+from watch import watching
 
 
 def _cfg(**over):
@@ -183,9 +184,10 @@ class TestSampledMode:
             server=ServerConfig(alpha=1.0, max_staleness=3),
             total_epochs=20,
         )
-        result = run_fedasync_sampled(cfg, record_trajectory=True)
-        assert len(result.trajectory) == 20
-        np.testing.assert_array_equal(result.trajectory[-1], result.final_params)
+        with watching() as (models, _):
+            result = run_fedasync_sampled(cfg)
+        assert len(models) == 20
+        np.testing.assert_array_equal(models[-1], result.final_params)
 
     def test_eval_every_schedule(self):
         cfg = _cfg(total_epochs=30, eval_every=7)
@@ -238,7 +240,8 @@ class TestLatencyMode:
             server=ServerConfig(alpha=0.7, max_staleness=0),
             delay=DelayModel(kind="constant"),
         )
-        result = run_fedasync_latency(cfg)
+        with watching() as (_, applied):
+            result = run_fedasync_latency(cfg)
 
         problem = build_problem(cfg)
         state = ServerState.create(problem.x0)
@@ -256,7 +259,7 @@ class TestLatencyMode:
             )
             apply_update(state, cfg.server, upd)
         np.testing.assert_array_equal(result.final_params, state.params)
-        assert [w for w, _ in result.apply_log] == [t % 3 for t in range(21)]
+        assert [w for w, _ in applied] == [t % 3 for t in range(21)]
 
     def test_staleness_bounded_and_epochs_gap_free(self):
         cfg = _cfg(
@@ -265,10 +268,11 @@ class TestLatencyMode:
             server=ServerConfig(alpha=0.5, max_staleness=3),
             delay=DelayModel(compute_means=1.0, network_mean=0.2, kind="exponential"),
         )
-        result = run_fedasync_latency(cfg)
+        with watching() as (_, applied):
+            result = run_fedasync_latency(cfg)
         assert [r.epoch for r in result.records] == list(range(61))
-        assert all(s <= 3 for _, s in result.apply_log)
-        assert len(result.apply_log) == 60
+        assert all(s <= 3 for _, s in applied)
+        assert len(applied) == 60
 
     def test_sim_time_nondecreasing_and_positive(self):
         cfg = _cfg(total_epochs=20)
@@ -292,10 +296,11 @@ class TestLatencyMode:
                 kind="constant",
             ),
         )
-        result = run_fedasync_latency(cfg)
+        with watching() as (_, applied):
+            result = run_fedasync_latency(cfg)
         assert result.state.n_rejected == 0
         by_worker = {w: [] for w in range(4)}
-        for w, s in result.apply_log:
+        for w, s in applied:
             by_worker[w].append(s)
         assert all(by_worker[w] for w in range(4))
         slow = np.mean(by_worker[0])
@@ -367,10 +372,11 @@ class TestTrainAtLanding:
             return local_train(objective, shard, anchor, tau, wcfg, rng, worker_id)
 
         monkeypatch.setattr(simulator, "local_train", counted)
-        result = run_fedasync_latency(cfg, record_trajectory=True)
+        with watching() as (_, applied):
+            result = run_fedasync_latency(cfg)
         state, log = _train_at_dispatch(cfg)
         assert result.state.n_rejected == state.n_rejected > 0
-        assert result.apply_log == log
+        assert applied == log
         assert result.final_params.tobytes() == state.params.tobytes()
         assert calls == [w for w, _ in log]  # one local_train per applied epoch
 
@@ -378,7 +384,8 @@ class TestTrainAtLanding:
         # worker 2 is dispatched at epoch 0; its first accepted push lands
         # at epoch 22, after stale ones
         cfg = _cfg(n_workers=6, total_epochs=80, server=ServerConfig(alpha=0.5, max_staleness=3))
-        log = run_fedasync_latency(cfg).apply_log
+        with watching() as (_, log):
+            run_fedasync_latency(cfg)
         first = [w for w, _ in log].index(2)
         assert first == 22
 
@@ -395,8 +402,9 @@ class TestTrainAtLanding:
 
     def test_stale_push_cannot_fail_the_run(self, monkeypatch):
         cfg = _cfg(**self.SLOW)
-        clean = run_fedasync_latency(cfg)
-        assert clean.state.n_rejected > 0 and 0 not in [w for w, _ in clean.apply_log]
+        with watching() as (_, applied):
+            clean = run_fedasync_latency(cfg)
+        assert clean.state.n_rejected > 0 and 0 not in [w for w, _ in applied]
 
         def diverging(objective, shard, anchor, tau, wcfg, rng, worker_id=0):
             if worker_id == 0:
