@@ -10,8 +10,13 @@ objective writes four kernels (``prepare``, ``_grad``, ``_loss_grad`` and
 place on the temporaries it makes, never on its inputs.
 
 A local task binds its iterate to a step kernel once (for the MLP: the
-weight views and one gradient vector), and a problem prepares its training
-split's targets once (:meth:`Objective.targets`) for every evaluation.
+weight views and one gradient vector), and a problem binds its training
+split to one evaluation once (:meth:`Objective.evaluator`): the targets are
+prepared there, and the MLP allocates there the work arrays that every
+evaluation row writes with ``out=`` (the activations, the logits, the
+back-propagated array and the gradient vector), so no row allocates an
+array the size of the split. A bound kernel returns its own gradient
+vector, valid only until its next call.
 
 At the problem sizes here numpy's per-call dispatch costs more than the
 arithmetic, so the kernels call ``ndarray.dot`` (or ``np.dot(..., out=)``)
@@ -65,8 +70,8 @@ class Objective(ABC):
     A subclass writes :meth:`prepare`, :meth:`_grad`, :meth:`_loss_grad`
     and :meth:`predict`; :meth:`loss`, :meth:`grad`, :meth:`loss_grad` and
     :meth:`accuracy` are derived from them here. Targets are prepared once
-    per problem (the training split, for evaluation) and once per local
-    task (its minibatches), never per step or per evaluation row.
+    per problem (the training split, in :meth:`evaluator`) and once per
+    local task (its minibatches), never per step or per evaluation row.
 
     Attributes
     ----------
@@ -96,13 +101,31 @@ class Objective(ABC):
         """The targets in the form :meth:`_grad` takes. Elementwise (or
         rowwise) over ``y``, so a task prepares the targets of all its
         steps at once and hands the step kernel one slice per step, and a
-        problem prepares its training split's once (:meth:`targets`)."""
+        problem prepares its training split's once (:meth:`evaluator`)."""
 
     def targets(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(prepare(y), labels)``, the two forms of ``y`` that
         :meth:`_loss_grad` reads: the labels are ``y`` itself, and for a
         classifier that needs them, int64 class ids."""
         return self.prepare(y), y
+
+    def evaluator(self, X: np.ndarray, y: np.ndarray):
+        """``evaluate(params) -> (loss, grad)``, bit for bit ``loss_grad(params,
+        X, y)`` without validation, bound to one batch for many models: the
+        targets are prepared once, read-only, and the MLP's work arrays are
+        allocated once. The gradient may be the kernel's own vector (it is
+        for the MLP), valid only until the next call."""
+        t, labels = (a.view() for a in self.targets(y))
+        t.setflags(write=False)
+        labels.setflags(write=False)
+        return self._eval_kernel(X, t, labels)
+
+    def _eval_kernel(self, X: np.ndarray, t: np.ndarray, labels: np.ndarray):
+        """:meth:`evaluator` on prepared targets. Here a closure over
+        :meth:`_loss_grad`, whose temporaries for the convex tasks are
+        vectors; the MLP binds its work arrays here once."""
+        loss_grad = self._loss_grad
+        return lambda params: loss_grad(params, X, t, labels)
 
     @abstractmethod
     def _grad(self, params: np.ndarray, X: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -256,23 +279,36 @@ class MlpObjective(Objective):
         logits -= np.log(np.add.reduce(np.exp(logits), axis=1, keepdims=True))
         return logits
 
-    def _bind(self, params):
-        """``(forward, backward)`` bound to ``params``: its ``W1, b1, W2,
-        b2`` views and ``W2.T`` are made once, here, so both see in-place
-        updates of ``params``, and ``backward`` writes every gradient block
-        into one vector of its own, which it returns on every call."""
+    def _forward(self, params, rows=None):
+        """``forward(X) -> (A1, logits)``, the hidden activations and the
+        logits, bound to the ``W1, b1, W2, b2`` views of ``params``, made
+        once here so that it sees in-place updates of ``params``. With
+        ``rows``, it writes both into arrays of its own for ``X`` of that
+        many rows, and returns them on every call."""
         W1, b1, W2, b2 = self._unpack(params)
-        W2T = W2.T
-        g = np.empty(self.dim)
-        gW1, gb1, gW2, gb2 = self._unpack(g)
+        A1_out = logits_out = None
+        if rows is not None:
+            A1_out = np.empty((rows, self.hidden))
+            logits_out = np.empty((rows, self.classes))
 
         def forward(X):
-            """``(A1, logits)``: the hidden activations and the logits."""
-            A1 = X.dot(W1)
+            A1 = X.dot(W1, out=A1_out)
             np.tanh(np.add(A1, b1, out=A1), out=A1)
-            logits = A1.dot(W2)
+            logits = A1.dot(W2, out=logits_out)
             logits += b2
             return A1, logits
+
+        return forward
+
+    def _bind(self, params, rows=None):
+        """``(forward, backward)`` bound to ``params`` (see :meth:`_forward`).
+        ``backward`` writes every gradient block into one vector of its
+        own, which it returns on every call; with ``rows``, it also writes
+        the back-propagated array into one of its own."""
+        W2T = self._unpack(params)[2].T
+        g = np.empty(self.dim)
+        gW1, gb1, gW2, gb2 = self._unpack(g)
+        dZ1_out = None if rows is None else np.empty((rows, self.hidden))
 
         def backward(X, A1, P, onehot):
             """The gradient from the hidden activations ``A1`` and the
@@ -283,14 +319,14 @@ class MlpObjective(Objective):
             P /= _row_count(X.shape[0])
             np.dot(A1.T, P, out=gW2)
             np.add.reduce(P, axis=0, out=gb2)
-            dZ1 = P.dot(W2T)
+            dZ1 = P.dot(W2T, out=dZ1_out)
             A1 *= A1
             dZ1 *= np.subtract(1.0, A1, out=A1)
             np.dot(X.T, dZ1, out=gW1)
             np.add.reduce(dZ1, axis=0, out=gb1)
             return g
 
-        return forward, backward
+        return self._forward(params, rows), backward
 
     def _step_kernel(self, params):
         forward, backward = self._bind(params)
@@ -305,12 +341,26 @@ class MlpObjective(Objective):
     def _grad(self, params, X, t):
         return self._step_kernel(params)(params, X, t)
 
+    def _eval_kernel(self, X, t, labels):
+        """Binds a parameter vector of its own and every work array to
+        ``X``'s rows once; each call copies ``params`` in and writes them
+        all again, so nothing of one call leaks into the next."""
+        bound = np.empty(self.dim)
+        forward, backward = self._bind(bound, X.shape[0])
+        log_softmax = self._log_softmax
+        rows = np.arange(X.shape[0])
+
+        def evaluate(params):
+            np.copyto(bound, params)
+            A1, logits = forward(X)
+            logp = log_softmax(logits)
+            loss = float(-np.mean(logp[rows, labels]))
+            return loss, backward(X, A1, np.exp(logp, out=logp), t)
+
+        return evaluate
+
     def _loss_grad(self, params, X, t, labels):
-        forward, backward = self._bind(params)
-        A1, logits = forward(X)
-        logp = self._log_softmax(logits)
-        loss = float(-np.mean(logp[np.arange(logp.shape[0]), labels]))
-        return loss, backward(X, A1, np.exp(logp, out=logp), t)
+        return self._eval_kernel(X, t, labels)(params)
 
     def prepare(self, y):
         """One-hot rows: ``prepare(y)[..., j]`` is 1.0 where ``y == j``."""
@@ -321,5 +371,4 @@ class MlpObjective(Objective):
         return self.prepare(labels), labels
 
     def predict(self, params, X):
-        forward, _ = self._bind(self._check(params, X))
-        return forward(X)[1].argmax(axis=1)
+        return self._forward(self._check(params, X))(X)[1].argmax(axis=1)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,15 +155,16 @@ class ExperimentConfig:
 @dataclass
 class Problem:
     """Materialized task: objective, splits, device shards, start point,
-    and the training split's ``objective.targets``, prepared read-only
-    once per problem, so that no evaluation row prepares them again."""
+    and ``evaluate``, the training split's ``objective.evaluator``, bound
+    once per problem, so that no evaluation row prepares targets or
+    allocates work arrays again. Its buffers live as long as the problem."""
 
     objective: Objective
     train: Dataset
     eval_set: Dataset
     shards: list[Shard]
     x0: np.ndarray
-    train_targets: tuple[np.ndarray, np.ndarray]
+    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
 @dataclass
@@ -206,19 +207,18 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
         x0 = domain_rng(cfg.seed, INIT_DOMAIN).standard_normal(objective.dim) * 0.1
     else:
         x0 = np.zeros(objective.dim)
-    train_targets = tuple(a.view() for a in objective.targets(train.targets))
-    for a in train_targets:
-        a.setflags(write=False)
-    return Problem(objective, train, eval_set, shards, x0, train_targets)
+    evaluate = objective.evaluator(train.features, train.targets)
+    return Problem(objective, train, eval_set, shards, x0, evaluate)
 
 
 def make_record(problem: Problem, state: ServerState, sim_time: float) -> MetricsRecord:
     """Evaluate the server's model: loss and gradient norm on the full
-    training split (unchecked, from its prepared targets), accuracy on the
-    held-out split; epoch, gradients, ``alpha_t`` and staleness as
+    training split (unchecked, by the problem's bound ``evaluate``, whose
+    gradient is read here before the next row overwrites it), accuracy on
+    the held-out split; epoch, gradients, ``alpha_t`` and staleness as
     ``state`` holds them."""
     obj, params = problem.objective, state.params
-    loss, g = obj._loss_grad(params, problem.train.features, *problem.train_targets)
+    loss, g = problem.evaluate(params)
     return MetricsRecord(
         epoch=state.epoch,
         gradients=state.n_gradients,

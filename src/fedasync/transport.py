@@ -89,13 +89,6 @@ class PullResponse:
     epoch: int
     params: np.ndarray
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PullResponse)
-            and self.epoch == other.epoch
-            and np.array_equal(self.params, other.params)
-        )
-
 
 @dataclass(eq=False)
 class Push:
@@ -103,15 +96,6 @@ class Push:
     tau: int
     local_iters: int
     params: np.ndarray
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Push)
-            and self.worker_id == other.worker_id
-            and self.tau == other.tau
-            and self.local_iters == other.local_iters
-            and np.array_equal(self.params, other.params)
-        )
 
 
 @dataclass(frozen=True)

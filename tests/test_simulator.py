@@ -1,7 +1,10 @@
 """Unit tests for both simulation modes, the delay model, and problem setup."""
 
+import gc
 import heapq
+import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +22,19 @@ from fedasync.simulator import (
 )
 from fedasync.worker import DivergenceError, WorkerConfig, local_train
 from watch import watching
+
+
+TASKS = ["quadratic", "logistic", "mlp", "wide-mlp"]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _task_cfg(task, **over):
+    if task == "wide-mlp":  # fedavg-mlp-rounds' network: 800 training rows, hidden=105
+        return _cfg(task="mlp", n_classes=4, hidden=105, n_samples=1000, dim=10, **over)
+    return _cfg(task=task, n_classes=2 if task == "logistic" else 3, hidden=4, **over)
 
 
 def _cfg(**over):
@@ -100,24 +116,68 @@ class TestBuildProblem:
         assert np.any(a.x0 != 0.0)
         np.testing.assert_array_equal(a.x0, b.x0)
 
-    @pytest.mark.parametrize("task", ["quadratic", "logistic", "mlp"])
+    @pytest.mark.parametrize("task", TASKS)
     def test_record_is_a_fresh_loss_grad_and_accuracy(self, task):
-        # make_record reads the targets prepared once per problem
-        cfg = _cfg(task=task, n_classes=2 if task == "logistic" else 3, hidden=4)
-        problem = build_problem(cfg)
+        # make_record evaluates through the binding made once per problem
+        problem = build_problem(_task_cfg(task))
         obj, train, held = problem.objective, problem.train, problem.eval_set
         state = ServerState.create(np.random.default_rng(1).standard_normal(obj.dim))
         rec = simulator.make_record(problem, state, 2.5)
         loss, g = obj.loss_grad(state.params, train.features, train.targets)
-        assert np.float64(rec.loss).tobytes() == np.float64(loss).tobytes()
-        assert np.float64(rec.grad_norm_sq).tobytes() == np.float64(np.dot(g, g)).tobytes()
+        assert _bits(rec.loss) == _bits(loss)
+        assert _bits(rec.grad_norm_sq) == _bits(np.dot(g, g))
         assert rec.accuracy == obj.accuracy(state.params, held.features, held.targets)
         assert (rec.epoch, rec.gradients, rec.sim_time) == (0, 0, 2.5)
 
-    def test_prepared_targets_are_read_only_and_kept_by_a_run(self):
+    @pytest.mark.parametrize("task", TASKS)
+    def test_alternating_models_each_get_fresh_bits(self, task):
+        # nothing of one row stays in the bound buffers to change the next
+        problem = build_problem(_task_cfg(task))
+        obj, train = problem.objective, problem.train
+        rng = np.random.default_rng(3)
+        models = [rng.standard_normal(obj.dim) * scale for scale in (0.1, 1.0)]
+        for i in range(6):
+            params = models[i % 2]
+            ref_loss, ref_g = obj.loss_grad(params, train.features, train.targets)
+            rec = simulator.make_record(problem, ServerState.create(params), 0.0)
+            assert _bits(rec.loss) == _bits(ref_loss)
+            assert _bits(rec.grad_norm_sq) == _bits(np.dot(ref_g, ref_g))
+            loss, g = problem.evaluate(params)
+            assert _bits(loss) == _bits(ref_loss) and _bits(g) == _bits(ref_g)
+
+    def test_wide_mlp_row_peaks_below_one_activation_array(self):
+        # the n x hidden work arrays are bound once, so a row allocates none
+        problem = build_problem(_task_cfg("wide-mlp"))
+        n, hidden = problem.train.features.shape[0], problem.objective.hidden
+        assert (n, hidden) == (800, 105)
+        state = ServerState.create(problem.x0.copy())
+        tracemalloc.start()
+        try:
+            simulator.make_record(problem, state, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * hidden * 8
+
+    def test_bound_buffers_are_freed_with_their_problem(self):
+        cfg = _task_cfg("wide-mlp")
+        tracemalloc.start()
+        try:
+            problem = build_problem(cfg)
+            n, hidden = problem.train.features.shape[0], problem.objective.hidden
+            held = tracemalloc.get_traced_memory()[0]
+            del problem
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert freed >= 2 * n * hidden * 8
+
+    def test_bound_targets_are_read_only_and_kept_by_a_run(self):
         cfg = _cfg(task="mlp", n_classes=3, hidden=4, total_epochs=20)
         problem = build_problem(cfg)
-        onehot, labels = problem.train_targets
+        bound = inspect.getclosurevars(problem.evaluate).nonlocals
+        onehot, labels = bound["t"], bound["labels"]
         kept = onehot.copy(), labels.copy()
         assert not onehot.flags.writeable and not labels.flags.writeable
         np.testing.assert_array_equal(onehot, problem.objective.prepare(problem.train.targets))
