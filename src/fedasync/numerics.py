@@ -2,12 +2,13 @@
 
 Parameter vectors are plain 1-D float64 numpy arrays. Every objective
 exposes the same entry points (``loss``, ``grad``, ``loss_grad``,
-``predict``, ``accuracy``) over a feature matrix ``X`` and a target vector
-``y`` so the training loops never branch on the model family. Each
-objective writes four kernels (``prepare``, ``_grad``, ``_loss_grad`` and
-``predict``); :class:`Objective` derives the others (``loss``, ``grad``,
-``loss_grad`` and ``accuracy``) from them once. The MLP kernel works in
-place on the temporaries it makes, never on its inputs.
+``evaluator``, ``predict``, ``accuracy``) over a feature matrix ``X`` and a
+target vector ``y`` so the training loops never branch on the model
+family. Each objective writes four kernels (``prepare``, ``_grad``,
+``_loss_grad`` and ``predict``); :class:`Objective` derives the others
+(``loss``, ``grad``, ``loss_grad``, ``evaluator`` and ``accuracy``) from
+them once. The MLP kernel works in place on the temporaries it makes or
+binds, never on its inputs.
 
 A local task binds its iterate to a step kernel once (for the MLP: the
 weight views and one gradient vector), and a problem binds its training
@@ -68,8 +69,8 @@ class Objective(ABC):
     """Differentiable objective over (features, targets) batches.
 
     A subclass writes :meth:`prepare`, :meth:`_grad`, :meth:`_loss_grad`
-    and :meth:`predict`; :meth:`loss`, :meth:`grad`, :meth:`loss_grad` and
-    :meth:`accuracy` are derived from them here. Targets are prepared once
+    and :meth:`predict`; :meth:`loss`, :meth:`grad`, :meth:`loss_grad`,
+    :meth:`evaluator` and :meth:`accuracy` are derived from them here. Targets are prepared once
     per problem (the training split, in :meth:`evaluator`) and once per
     local task (its minibatches), never per step or per evaluation row.
 

@@ -18,10 +18,8 @@ def same_message(a, b) -> bool:
         return False
     for f in fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-            x, y = np.asarray(x), np.asarray(y)
-            if (x.dtype, x.shape, x.tobytes()) != (y.dtype, y.shape, y.tobytes()):
-                return False
-        elif x != y:
+        if isinstance(x, np.ndarray):
+            x, y = (x.dtype, x.shape, x.tobytes()), (y.dtype, y.shape, y.tobytes())
+        if x != y:
             return False
     return True
