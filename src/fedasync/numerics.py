@@ -1,23 +1,25 @@
 """Objective functions and the small numeric kernel used everywhere else.
 
-Parameter vectors are plain 1-D float64 numpy arrays. Every objective
-exposes the same entry points (``loss``, ``grad``, ``loss_grad``,
-``evaluator``, ``predict``, ``accuracy``) over a feature matrix ``X`` and a
-target vector ``y`` so the training loops never branch on the model
-family. Each objective writes four kernels (``prepare``, ``_grad``,
-``_loss_grad`` and ``predict``); :class:`Objective` derives the others
-(``loss``, ``grad``, ``loss_grad``, ``evaluator`` and ``accuracy``) from
-them once. The MLP kernel works in place on the temporaries it makes or
-binds, never on its inputs.
+Parameter vectors are plain 1-D float64 numpy arrays. Every objective is
+used the same way over a feature matrix ``X`` and a target vector ``y``,
+so the training loops never branch on the model family. Each objective
+writes four kernels; :class:`Objective` binds them and derives from the
+bindings the checked one-shot forms (``loss``, ``grad``, ``accuracy``),
+which no run calls. A run calls exactly three callables, each bound once:
 
-A local task binds its iterate to a step kernel once (for the MLP: the
-weight views and one gradient vector), and a problem binds its training
-split to one evaluation once (:meth:`Objective.evaluator`): the targets are
-prepared there, and the MLP allocates there the work arrays that every
-evaluation row writes with ``out=`` (the activations, the logits, the
-back-propagated array and the gradient vector), so no row allocates an
-array the size of the split. A bound kernel returns its own gradient
-vector, valid only until its next call.
+* the step kernel, ``_step_kernel(x)``, bound to a local task's iterate
+  and called once per local step;
+* ``evaluator(X, y)``, bound to a problem's training split and called
+  once per evaluation row, for the loss and the gradient;
+* ``scorer(X, y)``, bound to the problem's held-out split and called once
+  per evaluation row, for the accuracy.
+
+A binding prepares its targets once, and the MLP's allocate there the
+work arrays that every call writes with ``out=`` (for the step: the
+weight views and one gradient vector), so no step makes a view and no
+row allocates an array the size of a split. A bound kernel returns its
+own gradient vector, valid only until its next call. The MLP kernels
+work in place on these temporaries, never on their inputs.
 
 At the problem sizes here numpy's per-call dispatch costs more than the
 arithmetic, so the kernels call ``ndarray.dot`` (or ``np.dot(..., out=)``)
@@ -52,6 +54,18 @@ def _as_params(x) -> np.ndarray:
     return x
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, for the targets a binding keeps."""
+    a = a.view()
+    a.setflags(write=False)
+    return a
+
+
+def _class_ids(y) -> np.ndarray:
+    """``y`` as int64 class ids, read-only, converted once per binding."""
+    return _read_only(np.asarray(y).astype(np.int64))
+
+
 def mix(current: np.ndarray, incoming: np.ndarray, alpha: float) -> np.ndarray:
     """Convex combination ``(1 - alpha) * current + alpha * incoming``,
     a new float64 vector; inputs are never modified.
@@ -68,11 +82,11 @@ def mix(current: np.ndarray, incoming: np.ndarray, alpha: float) -> np.ndarray:
 class Objective(ABC):
     """Differentiable objective over (features, targets) batches.
 
-    A subclass writes :meth:`prepare`, :meth:`_grad`, :meth:`_loss_grad`
-    and :meth:`predict`; :meth:`loss`, :meth:`grad`, :meth:`loss_grad`,
-    :meth:`evaluator` and :meth:`accuracy` are derived from them here. Targets are prepared once
-    per problem (the training split, in :meth:`evaluator`) and once per
-    local task (its minibatches), never per step or per evaluation row.
+    A subclass writes four kernels: :meth:`prepare`, the step kernel
+    (:meth:`_step_kernel`, or ``_grad``, which is its default),
+    :meth:`_eval_kernel` and :meth:`scorer`. :meth:`evaluator` binds the
+    evaluation kernel, and :meth:`loss`, :meth:`grad` and :meth:`accuracy`
+    are the checked one-shot forms of the two bindings.
 
     Attributes
     ----------
@@ -84,79 +98,50 @@ class Objective(ABC):
 
     def loss(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
         """Mean loss of ``params`` on the batch."""
-        return self.loss_grad(params, X, y)[0]
+        return self.evaluator(X, y)(self._check(params, X))[0]
 
     def grad(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Gradient of :meth:`loss` with respect to ``params``."""
-        return self._grad(self._check(params, X), X, self.prepare(y))
+        return self.evaluator(X, y)(self._check(params, X))[1]
 
-    def loss_grad(
-        self, params: np.ndarray, X: np.ndarray, y: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """The mean loss and ``grad(params, X, y)``, bit for bit, from one
-        forward pass."""
-        return self._loss_grad(self._check(params, X), X, *self.targets(y))
+    def accuracy(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float | None:
+        """Fraction of exact prediction matches; None for regression."""
+        return self.scorer(X, y)(self._check(params, X))
 
     @abstractmethod
     def prepare(self, y: np.ndarray) -> np.ndarray:
-        """The targets in the form :meth:`_grad` takes. Elementwise (or
+        """The targets in the form the step kernel takes. Elementwise (or
         rowwise) over ``y``, so a task prepares the targets of all its
         steps at once and hands the step kernel one slice per step, and a
         problem prepares its training split's once (:meth:`evaluator`)."""
 
-    def targets(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(prepare(y), labels)``, the two forms of ``y`` that
-        :meth:`_loss_grad` reads: the labels are ``y`` itself, and for a
-        classifier that needs them, int64 class ids."""
-        return self.prepare(y), y
-
     def evaluator(self, X: np.ndarray, y: np.ndarray):
-        """``evaluate(params) -> (loss, grad)``, bit for bit ``loss_grad(params,
-        X, y)`` without validation, bound to one batch for many models: the
-        targets are prepared once, read-only, and the MLP's work arrays are
-        allocated once. The gradient may be the kernel's own vector (it is
-        for the MLP), valid only until the next call."""
-        t, labels = (a.view() for a in self.targets(y))
-        t.setflags(write=False)
-        labels.setflags(write=False)
-        return self._eval_kernel(X, t, labels)
-
-    def _eval_kernel(self, X: np.ndarray, t: np.ndarray, labels: np.ndarray):
-        """:meth:`evaluator` on prepared targets. Here a closure over
-        :meth:`_loss_grad`, whose temporaries for the convex tasks are
-        vectors; the MLP binds its work arrays here once."""
-        loss_grad = self._loss_grad
-        return lambda params: loss_grad(params, X, t, labels)
+        """``evaluate(params) -> (loss, grad)`` without validation, bound to
+        one batch for many models: the targets are prepared once, read-only,
+        and the MLP's work arrays are allocated once. The gradient may be
+        the kernel's own vector (it is for the MLP), valid only until the
+        next call."""
+        return self._eval_kernel(X, _read_only(self.prepare(y)), y)
 
     @abstractmethod
-    def _grad(self, params: np.ndarray, X: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The gradient kernel without validation: ``params`` must already
-        have passed :meth:`_check` against a feature matrix of ``X``'s width,
-        and ``t`` is ``prepare(y)``. Returns a new array, the caller's to
-        overwrite."""
+    def _eval_kernel(self, X: np.ndarray, t: np.ndarray, y: np.ndarray):
+        """:meth:`evaluator` on ``t = prepare(y)``, read-only."""
+
+    @abstractmethod
+    def scorer(self, X: np.ndarray, y: np.ndarray):
+        """``score(params) -> accuracy | None`` without validation, bound to
+        one batch for many models: the fraction of rows whose predicted
+        class is ``y``'s, with the labels converted to int64 once; None
+        for regression."""
 
     def _step_kernel(self, params: np.ndarray):
-        """``step(params, X, t)``, bit for bit ``_grad(params, X, t)``, for a
+        """``step(params, X, t)``, the gradient on ``t = prepare(y)``, for a
         task that updates ``params`` in place and passes it to every call.
-        Here it is :meth:`_grad` itself; the MLP binds its views to
-        ``params`` once and ignores the first argument. The gradient it
-        returns is the caller's until the next call."""
+        Here it is the subclass's ``_grad``, which returns a new array; the
+        MLP binds its views to ``params`` once and ignores the first
+        argument. The gradient it returns is the caller's until the next
+        call."""
         return self._grad
-
-    @abstractmethod
-    def _loss_grad(
-        self, params: np.ndarray, X: np.ndarray, t: np.ndarray, labels: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """:meth:`loss_grad` without validation, on ``targets(y)``."""
-
-    @abstractmethod
-    def predict(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Point predictions for each row of ``X``."""
-
-    def accuracy(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float | None:
-        """Fraction of exact prediction matches; None for regression."""
-        pred = self.predict(params, X)
-        return float(np.mean(pred == np.asarray(y).astype(np.int64)))
 
     def _check(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
         params = _as_params(params)
@@ -181,23 +166,23 @@ class QuadraticObjective(Objective):
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
 
-    def _loss_grad(self, params, X, t, labels):
-        r = X.dot(params) - t
-        n = _row_count(X.shape[0])
-        return float(0.5 * r.dot(r) / n), X.T.dot(r) / n
-
     def prepare(self, y):
         return y
 
     def _grad(self, params, X, t):
         return X.T.dot(X.dot(params) - t) / _row_count(X.shape[0])
 
-    def predict(self, params, X):
-        params = self._check(params, X)
-        return X.dot(params)
+    def _eval_kernel(self, X, t, y):
+        n = _row_count(X.shape[0])
 
-    def accuracy(self, params, X, y):
-        return None
+        def evaluate(params):
+            r = X.dot(params) - t
+            return float(0.5 * r.dot(r) / n), X.T.dot(r) / n
+
+        return evaluate
+
+    def scorer(self, X, y):
+        return lambda params: None
 
 
 class LogisticObjective(Objective):
@@ -220,14 +205,17 @@ class LogisticObjective(Objective):
         """The signs ``s = 2 y - 1``."""
         return 2.0 * np.asarray(y, dtype=np.float64) - 1.0
 
-    def _loss_grad(self, params, X, t, labels):
-        margins = t * X.dot(params)
-        data = float(np.mean(np.logaddexp(0.0, -margins)))
-        loss = data + 0.5 * self.l2 * float(np.dot(params, params))
-        return loss, self._grad_at(params, X, t, margins)
-
     def _grad(self, params, X, t):
         return self._grad_at(params, X, t, t * X.dot(params))
+
+    def _eval_kernel(self, X, t, y):
+        def evaluate(params):
+            margins = t * X.dot(params)
+            data = float(np.mean(np.logaddexp(0.0, -margins)))
+            loss = data + 0.5 * self.l2 * float(np.dot(params, params))
+            return loss, self._grad_at(params, X, t, margins)
+
+        return evaluate
 
     def _grad_at(self, params, X, s, margins):
         # d/dm log(1 + e^{-m}) = -sigmoid(-m); exponentiate only the
@@ -239,9 +227,10 @@ class LogisticObjective(Objective):
         sig[~pos] = 1.0 / (1.0 + np.exp(margins[~pos]))
         return -X.T.dot(s * sig) / _row_count(X.shape[0]) + self.l2 * params
 
-    def predict(self, params, X):
-        params = self._check(params, X)
-        return (X.dot(params) > 0.0).astype(np.int64)
+    def scorer(self, X, y):
+        """Class 1 where the margin ``X @ w`` is positive."""
+        labels = _class_ids(y)
+        return lambda params: float(np.mean((X.dot(params) > 0.0) == labels))
 
 
 class MlpObjective(Objective):
@@ -339,13 +328,11 @@ class MlpObjective(Objective):
 
         return step
 
-    def _grad(self, params, X, t):
-        return self._step_kernel(params)(params, X, t)
-
-    def _eval_kernel(self, X, t, labels):
+    def _eval_kernel(self, X, t, y):
         """Binds a parameter vector of its own and every work array to
         ``X``'s rows once; each call copies ``params`` in and writes them
         all again, so nothing of one call leaks into the next."""
+        labels = _class_ids(y)
         bound = np.empty(self.dim)
         forward, backward = self._bind(bound, X.shape[0])
         log_softmax = self._log_softmax
@@ -360,16 +347,20 @@ class MlpObjective(Objective):
 
         return evaluate
 
-    def _loss_grad(self, params, X, t, labels):
-        return self._eval_kernel(X, t, labels)(params)
+    def scorer(self, X, y):
+        """The class of the largest logit. Binds a parameter vector of its
+        own and the forward pass's work arrays to ``X``'s rows once, as
+        :meth:`_eval_kernel` does."""
+        labels = _class_ids(y)
+        bound = np.empty(self.dim)
+        forward = self._forward(bound, X.shape[0])
+
+        def score(params):
+            np.copyto(bound, params)
+            return float(np.mean(forward(X)[1].argmax(axis=1) == labels))
+
+        return score
 
     def prepare(self, y):
         """One-hot rows: ``prepare(y)[..., j]`` is 1.0 where ``y == j``."""
         return np.eye(self.classes)[np.asarray(y).astype(np.int64)]
-
-    def targets(self, y):
-        labels = np.asarray(y).astype(np.int64)
-        return self.prepare(labels), labels
-
-    def predict(self, params, X):
-        return self._forward(self._check(params, X))(X)[1].argmax(axis=1)

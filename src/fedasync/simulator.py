@@ -155,9 +155,10 @@ class ExperimentConfig:
 @dataclass
 class Problem:
     """Materialized task: objective, splits, device shards, start point,
-    and ``evaluate``, the training split's ``objective.evaluator``, bound
+    ``evaluate``, the training split's ``objective.evaluator``, and
+    ``score``, the held-out split's ``objective.scorer``. Both are bound
     once per problem, so that no evaluation row prepares targets or
-    allocates work arrays again. Its buffers live as long as the problem."""
+    allocates work arrays again. Their buffers live as long as the problem."""
 
     objective: Objective
     train: Dataset
@@ -165,6 +166,7 @@ class Problem:
     shards: list[Shard]
     x0: np.ndarray
     evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    score: Callable[[np.ndarray], float | None]
 
 
 @dataclass
@@ -208,23 +210,23 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     else:
         x0 = np.zeros(objective.dim)
     evaluate = objective.evaluator(train.features, train.targets)
-    return Problem(objective, train, eval_set, shards, x0, evaluate)
+    score = objective.scorer(eval_set.features, eval_set.targets)
+    return Problem(objective, train, eval_set, shards, x0, evaluate, score)
 
 
 def make_record(problem: Problem, state: ServerState, sim_time: float) -> MetricsRecord:
-    """Evaluate the server's model: loss and gradient norm on the full
-    training split (unchecked, by the problem's bound ``evaluate``, whose
-    gradient is read here before the next row overwrites it), accuracy on
-    the held-out split; epoch, gradients, ``alpha_t`` and staleness as
-    ``state`` holds them."""
-    obj, params = problem.objective, state.params
-    loss, g = problem.evaluate(params)
+    """Evaluate the server's model through the problem's bindings, unchecked:
+    loss and gradient norm on the full training split by ``evaluate``
+    (whose gradient is read here before the next row overwrites it),
+    accuracy on the held-out split by ``score``; epoch, gradients,
+    ``alpha_t`` and staleness as ``state`` holds them."""
+    loss, g = problem.evaluate(state.params)
     return MetricsRecord(
         epoch=state.epoch,
         gradients=state.n_gradients,
         loss=loss,
         grad_norm_sq=float(np.dot(g, g)),
-        accuracy=obj.accuracy(params, problem.eval_set.features, problem.eval_set.targets),
+        accuracy=problem.score(state.params),
         alpha_t=state.last_alpha,
         staleness=state.last_staleness,
         sim_time=sim_time,

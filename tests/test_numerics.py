@@ -15,6 +15,7 @@ from fedasync.numerics import (
 )
 from fedasync.worker import WorkerConfig, local_train
 from finite_diff import finite_diff_grad
+from one_shot import loss_grad
 
 # one float64 ulp of relative slack for algebraic identities evaluated
 # through the (1 - a) * x + a * y expression
@@ -217,12 +218,14 @@ class TestMlpObjective:
         assert np.all(np.isfinite(obj.grad(w, X, y)))
 
     def test_predict_returns_class_ids(self):
+        # each row's prediction is one of the four classes: the scores
+        # against the four constant labellings count all ten rows
         obj = MlpObjective(2, 3, 4)
         rng = np.random.default_rng(54)
         X = rng.standard_normal((10, 2))
-        pred = obj.predict(rng.standard_normal(obj.dim), X)
-        assert pred.shape == (10,)
-        assert set(np.unique(pred)) <= {0, 1, 2, 3}
+        params = rng.standard_normal(obj.dim)
+        scores = [obj.scorer(X, np.full(10, c))(params) for c in range(4)]
+        assert sum(round(10 * s) for s in scores) == 10
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -278,9 +281,9 @@ def _reference_loss(kind, obj, params, X, y):
 
 
 class TestPreparedTargets:
-    """``loss_grad`` and ``_grad`` on prepared targets are the same IEEE
-    operations as a loss written out on its own and ``grad``: every result
-    equal bit for bit."""
+    """The evaluation binding and the step kernel on prepared targets are
+    the same IEEE operations as a loss written out on its own and
+    ``grad``: every result equal bit for bit."""
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(
@@ -295,7 +298,7 @@ class TestPreparedTargets:
         p = rng.standard_normal(obj.dim) * scale
         X = rng.standard_normal((m, 4))
         y = _targets(kind, rng, m)
-        loss, g = obj.loss_grad(p, X, y)
+        loss, g = loss_grad(obj, p, X, y)
         ref = np.float64(_reference_loss(kind, obj, p, X, y)).tobytes()
         assert np.float64(loss).tobytes() == ref
         assert np.float64(obj.loss(p, X, y)).tobytes() == ref
@@ -312,15 +315,15 @@ class TestPreparedTargets:
     )
     def test_step_slices_of_a_task(self, kind, steps, batch, seed):
         # local_train prepares a (steps, batch) target array once and
-        # hands the gradient kernel one slice per step
+        # hands the step kernel one slice per step
         obj = _OBJECTIVES[kind]()
         rng = np.random.default_rng(seed)
         p = rng.standard_normal(obj.dim)
         X = rng.standard_normal((steps, batch, 4))
         y = _targets(kind, rng, (steps, batch))
-        t = obj.prepare(y)
+        t, step = obj.prepare(y), obj._step_kernel(p)
         for h in range(steps):
-            assert obj._grad(p, X[h], t[h]).tobytes() == obj.grad(p, X[h], y[h]).tobytes()
+            assert step(p, X[h], t[h]).tobytes() == obj.grad(p, X[h], y[h]).tobytes()
 
     @pytest.mark.parametrize("kind", sorted(_OBJECTIVES))
     def test_full_batch_shard(self, kind):
@@ -333,7 +336,7 @@ class TestPreparedTargets:
         obj = _OBJECTIVES[kind]()
         p = np.random.default_rng(4).standard_normal(obj.dim)
         t = obj.prepare(shard.targets)
-        got = obj._grad(p, shard.features, t)
+        got = obj._step_kernel(p)(p, shard.features, t)
         assert got.tobytes() == obj.grad(p, shard.features, shard.targets).tobytes()
 
 
@@ -426,13 +429,15 @@ class TestInPlaceMlpKernel:
         ref = _ReferenceMlp(obj)
         t = obj.prepare(y)
         kept = [a.copy() for a in (params, X, t)]
-        loss, g = obj.loss_grad(params, X, y)
+        loss, g = loss_grad(obj, params, X, y)
         ref_loss, ref_g = ref.loss_grad(params, X, y)
         assert _same_bits(loss, ref_loss)
         assert _same_bits(g, ref_g)
+        step = obj._step_kernel(params)
         for _ in range(2):  # batch_size=full hands every step the same t
-            assert _same_bits(obj._grad(params, X, t), ref._grad(params, X, t))
-        assert np.array_equal(obj.predict(params, X), ref.predict(params, X))
+            assert _same_bits(step(params, X, t), ref._grad(params, X, t))
+        # every row scores against the reference's predicted class
+        assert obj.scorer(X, ref.predict(params, X))(params) == 1.0
         for before, after in zip(kept, (params, X, t)):
             assert _same_bits(before, after)
 
@@ -522,9 +527,6 @@ class _ReferenceQuadratic:
     def _grad(self, params, X, t):
         return X.T @ (X @ params - t) / X.shape[0]
 
-    def predict(self, params, X):
-        return X @ params
-
 
 class _ReferenceLogistic:
     """The logistic kernel written with ``@`` and divided by the row count
@@ -556,10 +558,11 @@ class _ReferenceLogistic:
 
 
 class TestDotKernels:
-    """Every objective's ``_grad``, ``loss_grad`` and ``predict``, which call
-    ``ndarray.dot`` and divide by a 0-d row count, against the same
-    kernels written with ``@``, bit for bit, on C-ordered features and on
-    transposed (F-ordered) views of them."""
+    """Every objective's step kernel, evaluation binding and (for the
+    classifiers) held-out scorer, which call ``ndarray.dot`` and divide by
+    a 0-d row count, against the same kernels written with ``@``, bit for
+    bit, on C-ordered features and on transposed (F-ordered) views of
+    them."""
 
     @staticmethod
     def _case(rng, kind, m, width, hidden, classes):
@@ -592,9 +595,10 @@ class TestDotKernels:
         if fortran:
             X = np.ascontiguousarray(X.T).T
         t = obj.prepare(y)
-        loss, g = obj.loss_grad(params, X, y)
+        loss, g = loss_grad(obj, params, X, y)
         ref_loss, ref_g = ref.loss_grad(params, X, y)
         assert _same_bits(loss, ref_loss)
         assert _same_bits(g, ref_g)
-        assert _same_bits(obj._grad(params, X, t), ref._grad(params, X, t))
-        assert np.array_equal(obj.predict(params, X), ref.predict(params, X))
+        assert _same_bits(obj._step_kernel(params)(params, X, t), ref._grad(params, X, t))
+        if kind != "quadratic":  # every row scores against the reference's class
+            assert obj.scorer(X, ref.predict(params, X))(params) == 1.0

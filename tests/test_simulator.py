@@ -21,6 +21,7 @@ from fedasync.simulator import (
     run_fedasync_sampled,
 )
 from fedasync.worker import DivergenceError, WorkerConfig, local_train
+from one_shot import loss_grad
 from watch import watching
 
 
@@ -123,7 +124,7 @@ class TestBuildProblem:
         obj, train, held = problem.objective, problem.train, problem.eval_set
         state = ServerState.create(np.random.default_rng(1).standard_normal(obj.dim))
         rec = simulator.make_record(problem, state, 2.5)
-        loss, g = obj.loss_grad(state.params, train.features, train.targets)
+        loss, g = loss_grad(obj, state.params, train.features, train.targets)
         assert _bits(rec.loss) == _bits(loss)
         assert _bits(rec.grad_norm_sq) == _bits(np.dot(g, g))
         assert rec.accuracy == obj.accuracy(state.params, held.features, held.targets)
@@ -133,23 +134,25 @@ class TestBuildProblem:
     def test_alternating_models_each_get_fresh_bits(self, task):
         # nothing of one row stays in the bound buffers to change the next
         problem = build_problem(_task_cfg(task))
-        obj, train = problem.objective, problem.train
+        obj, train, held = problem.objective, problem.train, problem.eval_set
         rng = np.random.default_rng(3)
         models = [rng.standard_normal(obj.dim) * scale for scale in (0.1, 1.0)]
         for i in range(6):
             params = models[i % 2]
-            ref_loss, ref_g = obj.loss_grad(params, train.features, train.targets)
+            ref_loss, ref_g = loss_grad(obj, params, train.features, train.targets)
             rec = simulator.make_record(problem, ServerState.create(params), 0.0)
             assert _bits(rec.loss) == _bits(ref_loss)
             assert _bits(rec.grad_norm_sq) == _bits(np.dot(ref_g, ref_g))
+            assert rec.accuracy == obj.accuracy(params, held.features, held.targets)
             loss, g = problem.evaluate(params)
             assert _bits(loss) == _bits(ref_loss) and _bits(g) == _bits(ref_g)
 
     def test_wide_mlp_row_peaks_below_one_activation_array(self):
-        # the n x hidden work arrays are bound once, so a row allocates none
+        # the n x hidden work arrays of both splits are bound once, so a
+        # row allocates none, not even the held-out split's
         problem = build_problem(_task_cfg("wide-mlp"))
-        n, hidden = problem.train.features.shape[0], problem.objective.hidden
-        assert (n, hidden) == (800, 105)
+        n, hidden = problem.eval_set.features.shape[0], problem.objective.hidden
+        assert (problem.train.features.shape[0], n, hidden) == (800, 200, 105)
         state = ServerState.create(problem.x0.copy())
         tracemalloc.start()
         try:
