@@ -23,7 +23,7 @@ from fedasync.simulator import (
     make_record,  # not called here; bench/tracing.py patches it in every runner module
 )
 from fedasync.server import ServerState
-from fedasync.worker import WorkerConfig, local_train
+from fedasync.worker import local_train
 
 
 @dataclass
@@ -66,13 +66,7 @@ def run_fedavg(
     local_steps = favg.local_steps
     if local_steps is None:
         local_steps = (cfg.worker.h_min + cfg.worker.h_max) // 2
-    lcfg = WorkerConfig(
-        gamma=cfg.worker.gamma,
-        rho=0.0,
-        h_min=local_steps,
-        h_max=local_steps,
-        batch_size=cfg.worker.batch_size,
-    )
+    lcfg = replace(cfg.worker, rho=0.0, h_min=local_steps, h_max=local_steps)
     state = ServerState.create(problem.x0)
     server_stream = domain_rng(cfg.seed, SERVER_DOMAIN)
     worker_streams = [worker_rng(cfg.seed, w) for w in range(cfg.n_workers)]
@@ -96,6 +90,7 @@ def run_fedavg(
                 )
                 results.append(upd)
             state.params = np.mean([u.params for u in results], axis=0)
+            state.params.setflags(write=False)
             state.epoch = rnd
             state.n_gradients += sum(u.local_iters for u in results)
             yield 0.0

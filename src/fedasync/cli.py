@@ -44,7 +44,7 @@ from fedasync.metrics import (
     write_metrics_jsonl,
 )
 from fedasync.rules import FINITE_POSITIVE, at_least, one_of, optional, rule_of, validate
-from fedasync.server import ServerConfig
+from fedasync.server import ProtocolError, ServerConfig
 from fedasync.simulator import (
     DelayModel,
     ExperimentConfig,
@@ -488,6 +488,10 @@ def _net_spec(args) -> RunSpec:
 
 
 def cmd_serve(args) -> int:
+    rule = FINITE_POSITIVE["rule"]
+    if not rule.holds(args.timeout):
+        print(f"--timeout {rule.text}, got {args.timeout!r}", file=sys.stderr)
+        return 2
     spec = _net_spec(args)
     try:
         host, port = _parse_hostport(args.bind)
@@ -538,7 +542,8 @@ def cmd_worker(args) -> int:
         return 2
     try:
         pushes, accepted = worker_loop((host, port), spec.cfg, args.worker_id)
-    except (OSError, FrameError) as exc:  # refused, reset, closed mid-task, or junk
+    # refused, reset, closed mid-task, junk, or a model that is not this config's
+    except (OSError, FrameError, ProtocolError) as exc:
         print(f"connection to {host}:{port} failed: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:

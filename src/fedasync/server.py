@@ -93,10 +93,12 @@ def staleness_weight(cfg: ServerConfig, staleness: int) -> float:
 class ServerState:
     """Mutable server state; single-writer by construction.
 
-    ``history`` keeps the last ``max_staleness + 1`` models keyed by
-    epoch so the sampled-staleness mode can hand out old bases. Its
-    entries are the committed models themselves, not copies: each apply
-    binds ``params`` to a new array, and nothing writes one in place.
+    A committed model is read-only: :meth:`create`, :func:`apply_update`
+    and the FedAvg round each bind ``params`` to a new array and mark it
+    not writable. So ``params`` is handed out by reference, to a worker
+    that pulls it and to the run's result, and ``history``, which keeps
+    the last ``max_staleness + 1`` models keyed by epoch for the
+    sampled-staleness mode, holds the committed models themselves.
     """
 
     params: np.ndarray
@@ -112,13 +114,10 @@ class ServerState:
         x0 = np.array(x0, dtype=np.float64)
         if x0.ndim != 1:
             raise ValueError(f"initial model must be 1-D, got shape {x0.shape}")
+        x0.setflags(write=False)
         state = cls(params=x0)
         state.history[0] = x0
         return state
-
-    def pull(self) -> tuple[int, np.ndarray]:
-        """Snapshot ``(epoch, model copy)`` for a worker to train from."""
-        return self.epoch, self.params.copy()
 
 
 def admit(state: ServerState, cfg: ServerConfig, tau: int) -> int:
@@ -140,13 +139,14 @@ def apply_update(state: ServerState, cfg: ServerConfig, upd: LocalUpdate) -> flo
     makes it so in process, and the TCP server's session validates each
     decoded push before it gets here. What stays is the staleness rule
     (:func:`admit`; a rejection leaves the model untouched) and the mix:
-    the model moves to ``(1 - a_t) * x + a_t * x_new`` with ``a_t =
-    staleness_weight(cfg, epoch - tau)``, the epoch advances by one, and
-    the new model enters ``history`` by reference.
+    the model moves to a new read-only ``(1 - a_t) * x + a_t * x_new`` with
+    ``a_t = staleness_weight(cfg, epoch - tau)``, the epoch advances by one,
+    and the new model enters ``history`` by reference.
     """
     staleness = admit(state, cfg, upd.tau)
     alpha_t = staleness_weight(cfg, staleness)
     state.params = mix(state.params, upd.params, alpha_t)
+    state.params.setflags(write=False)
     state.epoch += 1
     state.n_gradients += upd.local_iters
     state.last_alpha = alpha_t
@@ -162,20 +162,13 @@ def plan_triggers(
     """Pick which idle workers to dispatch next.
 
     Keeps at most ``max_staleness + 1`` runs outstanding and walks the
-    idle set round-robin starting at ``cursor`` so no worker starves.
-    Returns the workers to trigger and the advanced cursor.
+    idle set round-robin starting at ``cursor`` so no worker starves: the
+    ids from ``cursor`` up first, then those below it, each in ascending
+    order. Returns the workers to trigger and the advanced cursor, one past
+    the largest id triggered.
     """
-    cap = max_staleness + 1
-    free = cap - in_flight
+    free = max_staleness + 1 - in_flight
     if free <= 0 or not idle_workers:
         return [], cursor
-    ordered = sorted(idle_workers)
-    start = 0
-    for i, w in enumerate(ordered):
-        if w >= cursor:
-            start = i
-            break
-    rotated = ordered[start:] + ordered[:start]
-    chosen = rotated[:free]
-    new_cursor = (max(chosen) + 1) if chosen else cursor
-    return chosen, new_cursor
+    chosen = sorted(idle_workers, key=lambda w: (w < cursor, w))[:free]
+    return chosen, max(chosen) + 1

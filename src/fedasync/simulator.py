@@ -80,15 +80,15 @@ DELAY_KINDS = ("constant", "uniform", "exponential")
 
 
 def _nonnegative_means(means) -> bool:
-    means = list(means) if isinstance(means, (list, tuple)) else [means]
-    return bool(means) and all(FINITE_NONNEGATIVE["rule"].holds(m) for m in means)
+    return len(means) > 0 and all(FINITE_NONNEGATIVE["rule"].holds(m) for m in means)
 
 
 @dataclass
 class DelayModel:
     """Per-task latency: compute component plus network component.
 
-    ``compute_means`` is either one shared mean or a per-worker list;
+    ``compute_means`` is a list of per-worker means, worker ``w`` taking
+    entry ``w % len(compute_means)`` (one entry is a shared mean);
     ``kind`` selects the law both components follow: ``constant``
     (exactly the mean, no randomness), ``uniform`` (uniform on
     ``[0, 2 * mean]``), or ``exponential``. A mean of 0 makes that
@@ -97,8 +97,8 @@ class DelayModel:
     nothing.
     """
 
-    compute_means: float | list[float] = field(
-        default=1.0,
+    compute_means: list[float] = field(
+        default_factory=lambda: [1.0],
         metadata=bound("must be one or more values, each finite and >= 0", _nonnegative_means),
     )
     network_mean: float = field(default=0.1, metadata=FINITE_NONNEGATIVE)
@@ -108,9 +108,7 @@ class DelayModel:
         validate(self)
 
     def compute_mean_for(self, worker_id: int) -> float:
-        if isinstance(self.compute_means, (list, tuple)):
-            return float(self.compute_means[worker_id % len(self.compute_means)])
-        return float(self.compute_means)
+        return float(self.compute_means[worker_id % len(self.compute_means)])
 
     def _component(self, mean: float, rng: np.random.Generator) -> float:
         if self.kind == "constant":
@@ -257,7 +255,7 @@ class RunLoop:
             self.records.append(make_record(self.problem, state, sim_time))
 
     def result(self) -> RunResult:
-        return RunResult(self.records, self.state.params.copy(), self.state)
+        return RunResult(self.records, self.state.params, self.state)
 
 
 def drive(run: RunLoop, schedule: Iterator[float]) -> RunResult:
@@ -349,7 +347,7 @@ def run_fedasync_latency(
             for w in chosen:
                 idle.discard(w)
                 done = now + cfg.delay.draw(w, delay_streams[w])
-                heapq.heappush(heap, (done, next(seq), w, state.pull()))
+                heapq.heappush(heap, (done, next(seq), w, (state.epoch, state.params)))
 
         dispatch(0.0)
         while heap and state.epoch < cfg.total_epochs:

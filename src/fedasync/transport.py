@@ -57,6 +57,7 @@ log = logging.getLogger("fedasync.transport")
 
 MAX_FRAME_BYTES = 256 * 1024 * 1024  # decode's default cap; each _Buffer derives its run's own
 _RECV_BYTES = 1 << 16  # what one buffered read asks the socket for
+_MAX_WAIT_S = 86400.0  # one selector wait at most; epoll refuses one of 2**31 ms or more
 
 _LEN = struct.Struct(">I")
 _CNT = struct.Struct(">Q")
@@ -145,28 +146,6 @@ def encode(msg: Message) -> bytes:
     return _LEN.pack(1 + len(payload)) + bytes([tag]) + payload
 
 
-def _flag(byte: int) -> bool:
-    """A boolean field: the byte 0 or 1."""
-    if byte > 1:
-        raise FrameError(f"invalid boolean byte 0x{byte:02x}")
-    return bool(byte)
-
-
-def _too_short(fmt: str, payload: memoryview) -> FrameError:
-    """The refusal for a payload that ends inside the fields ``fmt``; as a
-    field-by-field read would, it checks the fields before the field cut short."""
-    pos = 0
-    for code in fmt[1:]:
-        n = struct.calcsize(">" + code)
-        if pos + n > len(payload):
-            break
-        if code == "B":
-            _flag(payload[pos])
-        pos += n
-    have = len(payload) - pos
-    return FrameError(f"payload too short: wanted {n} bytes at offset {pos}, have {have}")
-
-
 def _decode_body(body: memoryview) -> Message:
     cls = _BY_TAG.get(body[0])
     if cls is None:
@@ -174,11 +153,13 @@ def _decode_body(body: memoryview) -> Message:
     _, fixed, vector = _LAYOUT[cls]
     payload, end = body[1:], fixed.size + _CNT.size * vector
     if end > len(payload):
-        raise _too_short(fixed.format + "Q" * vector, payload)
+        raise FrameError(f"payload too short: {cls.__name__} wants {end} bytes, has {len(payload)}")
     values = list(fixed.unpack_from(payload))
     for i, code in enumerate(fixed.format[1:]):
         if code == "B":
-            values[i] = _flag(values[i])
+            if values[i] > 1:
+                raise FrameError(f"invalid boolean byte 0x{values[i]:02x}")
+            values[i] = bool(values[i])
     if vector:
         (count,) = _CNT.unpack_from(payload, fixed.size)
         if count * 8 > len(payload) - end:
@@ -302,7 +283,9 @@ def _no_delay(sock: socket.socket) -> socket.socket:
 class _WorkerSession:
     """One device's side of the protocol, without I/O: :meth:`receive`
     takes each message read from the server (None at EOF) and returns the
-    frames to send back. EOF inside a task raises ConnectionError.
+    frames to send back. EOF inside a task raises ConnectionError, and a
+    PullResponse whose vector has another length than the problem's, or a
+    non-finite entry, raises ProtocolError, as the server refuses such a push.
 
     Each PullRequest goes out ahead of its Trigger: first on connect,
     then with each Push. The device trains on its own shard of the
@@ -333,6 +316,11 @@ class _WorkerSession:
             self.expect = PullResponse
             return ()
         if isinstance(msg, PullResponse):
+            n, dim = msg.params.size, self.problem.x0.size
+            if n != dim:  # the server's config is not this worker's
+                raise ProtocolError(f"server sent {n} parameters, this worker's problem has {dim}")
+            if not np.isfinite(msg.params).all():
+                raise ProtocolError("server sent non-finite parameters")
             upd = local_train(  # looked up here, where tests and the tracer patch it
                 self.problem.objective,
                 self.shard,
@@ -435,7 +423,7 @@ class _ServerSession:
     non-finite entry, or fewer than one local step is logged and refused
     in its PushAck, and changes no state. A connection waiting for a slot
     may send one PullRequest ahead, bound as it arrives; any other frame from it is a
-    fault. The pull is answered, with a snapshot taken then, when both
+    fault. The pull is answered, with the model committed then, when both
     the PullRequest and the Trigger are out.
 
     Dispatch is gated so that an honest push is never stale: a Trigger
@@ -547,8 +535,7 @@ class _ServerSession:
             )
 
     def _answer(self, conn: _Conn) -> None:
-        snap_epoch, snap_params = self.state.pull()
-        conn.buf.put(PullResponse(epoch=snap_epoch, params=snap_params))
+        conn.buf.put(PullResponse(epoch=self.state.epoch, params=self.state.params))
         conn.pulled = False
         conn.phase = _PUSH
 
@@ -705,7 +692,7 @@ class TransportServer:
                 # a drop in _flush can grant a slot to a connection it has passed
                 if any(c.buf.outbox and not c.events & selectors.EVENT_WRITE for c in conns):
                     due.append(now)
-                wait_s = max(0.0, min(due) - now) if due else None
+                wait_s = min(max(0.0, min(due) - now), _MAX_WAIT_S) if due else None
                 for key, mask in self._selector.select(wait_s):
                     key.data(mask)
         except DivergenceError as exc:

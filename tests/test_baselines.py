@@ -8,6 +8,7 @@ from fedasync.server import ServerConfig
 from fedasync.simulator import (
     ExperimentConfig,
     RunFailure,
+    RunLoop,
     build_problem,
     run_fedasync_sampled,
 )
@@ -114,6 +115,20 @@ class TestFedAvg:
         result = run_fedavg(cfg, favg=FedAvgConfig(k=3, local_steps=4))
         assert result.state.n_gradients == 12 * 3 * 4
         assert [r.epoch for r in result.records] == list(range(13))
+
+    def test_each_averaged_model_is_read_only(self, monkeypatch):
+        committed = []
+        step = RunLoop.step
+
+        def watched_step(run, sim_time):
+            committed.append(run.state.params)
+            step(run, sim_time)
+
+        monkeypatch.setattr(RunLoop, "step", watched_step)
+        result = run_fedavg(_cfg(total_epochs=4), favg=FedAvgConfig(k=2))
+        assert len(committed) == 4
+        assert all(not params.flags.writeable for params in committed)
+        assert result.final_params is committed[-1]
 
     def test_rounds_keep_no_model_history(self):
         # nothing reads a FedAvg history, so memory must not grow with rounds

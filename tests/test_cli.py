@@ -823,6 +823,53 @@ class TestServeWorkerCommands:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"127.0.0.1:{port}" in err and "PullResponse" in err
 
+    def test_worker_with_another_config_than_the_server_fails_in_one_line(self, capsys):
+        # the server runs dim=5 and the worker dim=8: the PullResponse is
+        # refused where it is read, not in local_train with a traceback
+        from fedasync.transport import PullResponse, Trigger, encode
+
+        def fake_server(listener):
+            conn, _ = listener.accept()
+            with conn:
+                conn.sendall(encode(Trigger(epoch=0)) + encode(PullResponse(0, np.zeros(5))))
+                while conn.recv(4096):
+                    pass
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(30)
+            port = listener.getsockname()[1]
+            server = threading.Thread(target=fake_server, args=(listener,))
+            server.start()
+            try:
+                argv = ["worker", "--connect", f"127.0.0.1:{port}", "--worker-id", "0",
+                        "task=quadratic", "n_samples=80", "dim=8"]
+                assert main(argv) == 1
+            finally:
+                server.join(timeout=30)
+        assert not server.is_alive()
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"connection to 127.0.0.1:{port} failed: "
+            "server sent 5 parameters, this worker's problem has 8"
+        )
+
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1"])
+    def test_serve_timeout_must_be_finite_and_positive(
+        self, tmp_path, capsys, monkeypatch, timeout
+    ):
+        # refused before the port is bound or --out is made
+        def no_bind(server):
+            raise AssertionError("bound a port")
+
+        monkeypatch.setattr(transport.TransportServer, "bind", no_bind)
+        out = tmp_path / "served"
+        argv = ["serve", "--bind", "127.0.0.1:0", "--out", str(out), "--timeout", timeout,
+                "task=quadratic", "n_samples=80", "dim=5"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"--timeout must be finite and > 0, got {float(timeout)!r}\n"
+        assert not out.exists()
+
     def test_worker_reports_its_divergence_in_one_line(self):
         # a fake server hands out one task; with h_min = h_max = 20 and
         # gamma = 1e40 the worker's local steps overflow before the last

@@ -1,5 +1,7 @@
 """Unit tests for staleness weighting, update admission, and dispatch."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -234,12 +236,33 @@ class TestHistory:
 
 
 class TestPull:
-    def test_pull_returns_epoch_and_copy(self):
+    def test_pull_is_epoch_and_read_only_model(self):
+        # a worker pulls (state.epoch, state.params) by reference, and
+        # cannot change the server's model through it
         state = ServerState.create(np.array([1.0, 2.0]))
-        epoch, params = state.pull()
+        epoch, params = state.epoch, state.params
         assert epoch == 0
-        params[0] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            params[0] = 99.0
         assert state.params[0] == 1.0
+
+
+class TestCommittedModelsAreReadOnly:
+    def test_create_copies_and_freezes_the_initial_model(self):
+        x0 = np.array([1.0, 2.0])
+        state = ServerState.create(x0)
+        assert not state.params.flags.writeable
+        assert state.history[0] is state.params
+        x0[0] = 5.0  # the caller's array stays the caller's
+        assert x0.flags.writeable and state.params[0] == 1.0
+
+    def test_each_applied_model_is_read_only(self):
+        cfg = ServerConfig(alpha=0.5, max_staleness=1)
+        state = ServerState.create(np.zeros(2))
+        for tau in range(3):
+            apply_update(state, cfg, _upd([2.0, 4.0], tau=tau))
+            assert not state.params.flags.writeable
+        assert all(not m.flags.writeable for m in state.history.values())
 
 
 class TestPlanTriggers:
@@ -268,6 +291,30 @@ class TestPlanTriggers:
         chosen, cursor = plan_triggers([], in_flight=0, max_staleness=3, cursor=7)
         assert chosen == []
         assert cursor == 7
+
+    def test_same_as_the_rotation_it_replaced(self):
+        # every idle set within {0..5}, 0-4 tasks in flight, K 0-3, cursor 0-7
+        def rotated(idle_workers, in_flight, max_staleness, cursor):
+            free = max_staleness + 1 - in_flight
+            if free <= 0 or not idle_workers:
+                return [], cursor
+            ordered = sorted(idle_workers)
+            start = 0
+            for i, w in enumerate(ordered):
+                if w >= cursor:
+                    start = i
+                    break
+            chosen = (ordered[start:] + ordered[:start])[:free]
+            return chosen, (max(chosen) + 1) if chosen else cursor
+
+        cases = 0
+        for idle in itertools.product([False, True], repeat=6):
+            workers = [w for w in range(6) if idle[w]]
+            for in_flight, k, cursor in itertools.product(range(5), range(4), range(8)):
+                args = (workers, in_flight, k, cursor)
+                assert plan_triggers(*args) == rotated(*args), args
+                cases += 1
+        assert cases == 10240
 
     def test_no_worker_starves_under_rotation(self):
         # repeatedly dispatch one worker at a time; every worker appears

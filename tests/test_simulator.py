@@ -56,7 +56,7 @@ def _cfg(**over):
 
 class TestDelayModel:
     def test_constant_kind_consumes_no_randomness(self):
-        dm = DelayModel(compute_means=2.0, network_mean=0.5, kind="constant")
+        dm = DelayModel(compute_means=[2.0], network_mean=0.5, kind="constant")
         rng = np.random.default_rng(0)
         assert dm.draw(0, rng) == 2.5
         np.testing.assert_array_equal(
@@ -64,14 +64,14 @@ class TestDelayModel:
         )
 
     def test_uniform_kind_bounded_by_twice_mean(self):
-        dm = DelayModel(compute_means=1.0, network_mean=0.0, kind="uniform")
+        dm = DelayModel(compute_means=[1.0], network_mean=0.0, kind="uniform")
         rng = np.random.default_rng(1)
         draws = [dm.draw(0, rng) for _ in range(2000)]
         assert 0.0 <= min(draws) and max(draws) <= 2.0
         assert abs(np.mean(draws) - 1.0) < 0.05
 
     def test_exponential_kind_mean(self):
-        dm = DelayModel(compute_means=3.0, network_mean=0.0, kind="exponential")
+        dm = DelayModel(compute_means=[3.0], network_mean=0.0, kind="exponential")
         rng = np.random.default_rng(2)
         draws = [dm.draw(0, rng) for _ in range(5000)]
         assert abs(np.mean(draws) - 3.0) < 0.2
@@ -88,7 +88,12 @@ class TestDelayModel:
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError, match="means"):
-            DelayModel(compute_means=-1.0)
+            DelayModel(compute_means=[1.0, -1.0])
+
+    @pytest.mark.parametrize("means", [1.0, []])
+    def test_bare_float_or_empty_list_rejected(self, means):
+        with pytest.raises(ValueError, match="one or more values"):
+            DelayModel(compute_means=means)
 
 
 class TestExperimentConfig:
@@ -296,6 +301,34 @@ class TestLatencyMode:
         np.testing.assert_array_equal(sampled.final_params, latency.final_params)
         assert [r.staleness for r in latency.records] == [0] * 26
 
+    def test_a_task_trains_from_the_committed_model_itself(self, monkeypatch):
+        # dispatch keeps (state.epoch, state.params): no copy of the model
+        cfg = _cfg(
+            n_workers=4,
+            total_epochs=40,
+            server=ServerConfig(alpha=0.5, max_staleness=2),
+            delay=DelayModel(kind="exponential"),
+        )
+        committed, anchors = {}, []
+
+        def watched_apply(state, server_cfg, upd):
+            committed.setdefault(state.epoch, state.params)
+            alpha_t = apply_update(state, server_cfg, upd)
+            committed[state.epoch] = state.params
+            return alpha_t
+
+        def watched_train(objective, shard, anchor, tau, wcfg, rng, worker_id=0):
+            anchors.append((tau, anchor))
+            return local_train(objective, shard, anchor, tau, wcfg, rng, worker_id)
+
+        monkeypatch.setattr(simulator, "apply_update", watched_apply)
+        monkeypatch.setattr(simulator, "local_train", watched_train)
+        result = run_fedasync_latency(cfg)
+        assert len(anchors) == cfg.total_epochs
+        assert all(anchor is committed[tau] for tau, anchor in anchors)
+        assert {tau for tau, _ in anchors} != {0}
+        assert result.final_params is result.state.params
+
     def test_zero_bound_round_robin_matches_scripted_loop(self):
         cfg = _cfg(
             n_workers=3,
@@ -329,7 +362,7 @@ class TestLatencyMode:
             n_workers=6,
             total_epochs=60,
             server=ServerConfig(alpha=0.5, max_staleness=3),
-            delay=DelayModel(compute_means=1.0, network_mean=0.2, kind="exponential"),
+            delay=DelayModel(compute_means=[1.0], network_mean=0.2, kind="exponential"),
         )
         with watching() as (_, applied):
             result = run_fedasync_latency(cfg)
@@ -385,7 +418,7 @@ def _train_at_dispatch(cfg):
         chosen, cursor = plan_triggers(sorted(idle), len(heap), cfg.server.max_staleness, cursor)
         for w in chosen:
             idle.discard(w)
-            tau, params = state.pull()
+            tau, params = state.epoch, state.params
             upd = local_train(
                 problem.objective, problem.shards[w], params, tau, cfg.worker, streams[w], w
             )

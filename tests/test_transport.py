@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import fedasync.transport as transport
 from fedasync.cli import _run_net
-from fedasync.server import ServerConfig
+from fedasync.server import ProtocolError, ServerConfig
 from fedasync.simulator import ExperimentConfig, RunFailure, build_problem, run_fedasync_sampled
 from fedasync.transport import (
     FrameError,
@@ -187,6 +187,14 @@ class TestMalformedFrames:
         frame = b"\x00\x00\x00\x0a\x05\x02" + b"\x00" * 8
         with pytest.raises(FrameError, match="boolean"):
             decode(frame)
+
+    def test_truncated_push_ack_with_bad_boolean_byte(self):
+        # the boolean byte is 0x02 and the epoch is 4 bytes short: which of
+        # the two faults the text names is free, the class is not
+        frame = b"\x00\x00\x00\x06\x05\x02" + b"\x00" * 4
+        with pytest.raises(FrameError) as refused:
+            decode(frame)
+        assert type(refused.value) is FrameError
 
     def test_vector_count_exceeds_payload(self):
         payload = (0).to_bytes(8, "big") + (10).to_bytes(8, "big") + np.float64(1.0).tobytes()
@@ -973,6 +981,55 @@ class TestMalformedPushes:
         np.testing.assert_array_equal(result.final_params, x0 + 0.5)
         assert [r.gradients for r in result.records] == [0, 3]
         assert result.state.n_rejected == 0
+
+
+class TestForeignModels:
+    # a server whose config is not the worker's: its PullResponse is refused
+    # before any training, and the worker sends nothing after its PullRequest.
+    # A longer vector than the problem's already overruns the frame cap.
+    @pytest.mark.parametrize(
+        "params, error, match",
+        [
+            (np.zeros(3), ProtocolError, "server sent 3 parameters, this worker's problem has 5"),
+            (np.zeros(8), OversizeFrameError, "exceeds cap"),
+            (np.array([0.0, 0.0, np.nan, 0.0, 0.0]), ProtocolError, "non-finite"),
+            (np.array([0.0, np.inf, 0.0, 0.0, 0.0]), ProtocolError, "non-finite"),
+        ],
+    )
+    def test_worker_refuses_a_pull_response_that_is_not_its_problems(
+        self, params, error, match
+    ):
+        cfg = _cfg()
+        heard = bytearray()
+
+        def fake_server(listener):
+            conn, _ = listener.accept()
+            with conn:
+                conn.sendall(encode(Trigger(epoch=0)) + encode(PullResponse(0, params)))
+                while chunk := conn.recv(4096):
+                    heard.extend(chunk)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(30)
+            server = threading.Thread(target=fake_server, args=(listener,))
+            server.start()
+            try:
+                with pytest.raises(error, match=match):
+                    worker_loop(listener.getsockname(), cfg, 0, socket_timeout=30)
+            finally:
+                server.join(timeout=30)
+        assert not server.is_alive()
+        assert bytes(heard) == encode(PullRequest(worker_id=0))
+
+
+class TestLongTimeouts:
+    @pytest.mark.parametrize("timeout", [3e6, 1e300])
+    def test_a_wait_longer_than_the_selector_takes_is_taken_in_parts(self, timeout):
+        # epoll refuses a timeout of 2**31 ms (about 24.8 days) or more
+        server = TransportServer(_cfg(total_epochs=3))
+        server.bind()
+        server.attach_worker(0)
+        assert server.wait(timeout=timeout).state.epoch == 3
 
 
 class TestDisconnects:
