@@ -9,8 +9,9 @@ subprocess whose ``PYTHONPATH`` is that tree:
 
 * ``fedasync run`` for the five algorithms on the three tasks, with
   ``repeats=2``, ``jsonl=true`` and ``eval_every=1``, plus one MLP with
-  ``hidden=105`` under the sampled mode. ``fedasync-net`` runs one
-  worker, the case whose order of events is fixed;
+  ``hidden=105`` under the sampled mode and one under FedAvg with
+  ``k=3``. ``fedasync-net`` runs one worker, the case whose order of
+  events is fixed;
 * ``fedasync compare --out`` over each task's five summaries;
 * ``fedasync gen-data`` for each task.
 
@@ -59,6 +60,9 @@ def commands() -> list[tuple[str, list[str]]]:
     out.append((wide, ["run", "--out", wide, "algorithm=fedasync-sampled", *SIZE,
                        "n_workers=4", "max_staleness=3", "task=mlp", "n_classes=3",
                        "hidden=105"]))
+    wide = "run/mlp/fedavg-hidden-105"
+    out.append((wide, ["run", "--out", wide, "algorithm=fedavg", *SIZE, "n_workers=4", "k=3",
+                       "task=mlp", "n_classes=3", "hidden=105"]))
     for task in TASKS:
         summaries = [f"run/{task}/{algorithm}/summary.csv" for algorithm in ALGORITHMS]
         name = f"compare_{task}.csv"

@@ -23,7 +23,10 @@ from fedasync.simulator import (
     make_record,  # not called here; bench/tracing.py patches it in every runner module
 )
 from fedasync.server import ServerState
-from fedasync.worker import local_train
+from fedasync.worker import (
+    local_train,  # not called here; bench/tracing.py patches it in every runner module
+    train_round,
+)
 
 
 @dataclass
@@ -77,22 +80,17 @@ def run_fedavg(
                 int(w)
                 for w in server_stream.choice(cfg.n_workers, size=k, replace=False)
             )
-            results = []
-            for w in selected:
-                upd = local_train(
-                    problem.objective,
-                    problem.shards[w],
-                    state.params,
-                    state.epoch,
-                    lcfg,
-                    worker_streams[w],
-                    worker_id=w,
-                )
-                results.append(upd)
-            state.params = np.mean([u.params for u in results], axis=0)
+            trained, steps = train_round(
+                problem.objective,
+                [problem.shards[w] for w in selected],
+                state.params,
+                lcfg,
+                [worker_streams[w] for w in selected],
+            )
+            state.params = np.mean(trained, axis=0)
             state.params.setflags(write=False)
             state.epoch = rnd
-            state.n_gradients += sum(u.local_iters for u in results)
+            state.n_gradients += sum(steps)
             yield 0.0
 
     return drive(RunLoop(cfg, problem, state), schedule())

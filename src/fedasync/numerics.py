@@ -7,7 +7,8 @@ writes four kernels; :class:`Objective` binds them and derives from the
 bindings the checked one-shot forms (``loss``, ``grad``, ``accuracy``),
 which no run calls. A run calls exactly three callables, each bound once:
 
-* the step kernel, ``_step_kernel(x)``, bound to a local task's iterate
+* the step kernel, ``_step_kernel(x)``, bound to a local task's iterate,
+  or to a FedAvg round's ``(k, dim)`` stack of its devices' iterates,
   and called once per local step;
 * ``evaluator(X, y)``, bound to a problem's training split and called
   once per evaluation row, for the loss and the gradient;
@@ -22,11 +23,14 @@ own gradient vector, valid only until its next call. The MLP kernels
 work in place on these temporaries, never on their inputs.
 
 At the problem sizes here numpy's per-call dispatch costs more than the
-arithmetic, so the kernels call ``ndarray.dot`` (or ``np.dot(..., out=)``)
-rather than ``@``: the same BLAS call with the same bits, without the
-matmul ufunc's dispatch. For the same reason each kernel divides by its
-row count as a 0-d float64 array (:func:`_row_count`), which numpy takes
-without converting a Python scalar; the quotient's bits are the same.
+arithmetic, so the kernels call ``ndarray.dot`` rather than ``@``: the
+same BLAS call with the same bits, without the matmul ufunc's dispatch.
+For the same reason each kernel divides by its row count as a 0-d
+float64 array (:func:`_row_count`), which numpy takes without converting
+a Python scalar; the quotient's bits are the same. And for the same
+reason a stack's MLP binding calls ``np.matmul`` in place of ``.dot``
+(:func:`_gemm`), so that each numpy call serves every row of the stack;
+the quadratic and logistic kernels run row by row over a stack.
 """
 
 from __future__ import annotations
@@ -64,6 +68,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _class_ids(y) -> np.ndarray:
     """``y`` as int64 class ids, read-only, converted once per binding."""
     return _read_only(np.asarray(y).astype(np.int64))
+
+
+def _gemm(params: np.ndarray):
+    """The matrix product of a binding, picked once: ``ndarray.dot`` for
+    one vector, ``np.matmul`` for a ``(k, dim)`` stack. Each of matmul's
+    slices is the BLAS call ``.dot`` makes on that slice alone, with the
+    same bits; for one vector ``.dot`` skips matmul's ufunc dispatch."""
+    return np.ndarray.dot if params.ndim == 1 else np.matmul
 
 
 def mix(current: np.ndarray, incoming: np.ndarray, alpha: float) -> np.ndarray:
@@ -137,11 +149,15 @@ class Objective(ABC):
     def _step_kernel(self, params: np.ndarray):
         """``step(params, X, t)``, the gradient on ``t = prepare(y)``, for a
         task that updates ``params`` in place and passes it to every call.
-        Here it is the subclass's ``_grad``, which returns a new array; the
-        MLP binds its views to ``params`` once and ignores the first
-        argument. The gradient it returns is the caller's until the next
-        call."""
-        return self._grad
+        Here it is the subclass's ``_grad``, which returns a new array, and
+        for a ``(k, dim)`` stack of iterates (with ``X`` and ``t`` stacked
+        the same way) ``_grad`` row by row; the MLP binds its views to
+        ``params`` once and ignores the first argument. The gradient it
+        returns is the caller's until the next call."""
+        grad = self._grad
+        if params.ndim == 1:
+            return grad
+        return lambda params, X, t: np.array([grad(*row) for row in zip(params, X, t)])
 
     def _check(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
         params = _as_params(params)
@@ -252,12 +268,20 @@ class MlpObjective(Objective):
         self.hidden = int(hidden)
         self.classes = int(classes)
         self.dim = d_in * hidden + hidden + hidden * classes + classes
+        self._identity = _read_only(np.eye(self.classes))
 
     def _unpack(self, params: np.ndarray):
-        """The views ``(W1, b1, W2, b2)`` of a vector of length ``dim``."""
+        """The views ``(W1, b1, W2, b2)`` of a vector of length ``dim``, or
+        of each row of a ``(k, dim)`` stack behind a leading axis."""
         d, h, c = self.d_in, self.hidden, self.classes
         i, j, k = d * h, d * h + h, d * h + h + h * c
-        return params[:i].reshape(d, h), params[i:j], params[j:k].reshape(h, c), params[k:]
+        lead = params.shape[:-1]
+        return (
+            params[..., :i].reshape(lead + (d, h)),
+            params[..., i:j],
+            params[..., j:k].reshape(lead + (h, c)),
+            params[..., k:],
+        )
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -265,8 +289,9 @@ class MlpObjective(Objective):
         folds the columns of a transposed copy, fast for few columns. Only
         in a row holding both +0 and -0 can it keep another zero than
         ``maximum.reduce(axis=1)``, and there no output shows which."""
-        logits -= np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)[:, None]
-        logits -= np.log(np.add.reduce(np.exp(logits), axis=1, keepdims=True))
+        peak = np.maximum.reduce(np.ascontiguousarray(logits.swapaxes(-1, -2)), axis=-2)
+        logits -= peak[..., None]
+        logits -= np.log(np.add.reduce(np.exp(logits), axis=-1, keepdims=True))
         return logits
 
     def _forward(self, params, rows=None):
@@ -274,17 +299,20 @@ class MlpObjective(Objective):
         logits, bound to the ``W1, b1, W2, b2`` views of ``params``, made
         once here so that it sees in-place updates of ``params``. With
         ``rows``, it writes both into arrays of its own for ``X`` of that
-        many rows, and returns them on every call."""
+        many rows, and returns them on every call. For a ``(k, dim)`` stack,
+        ``X`` and both results carry the stack's axis first."""
         W1, b1, W2, b2 = self._unpack(params)
+        b1, b2 = b1[..., None, :], b2[..., None, :]
+        gemm = _gemm(params)
         A1_out = logits_out = None
         if rows is not None:
-            A1_out = np.empty((rows, self.hidden))
-            logits_out = np.empty((rows, self.classes))
+            A1_out = np.empty(params.shape[:-1] + (rows, self.hidden))
+            logits_out = np.empty(params.shape[:-1] + (rows, self.classes))
 
         def forward(X):
-            A1 = X.dot(W1, out=A1_out)
+            A1 = gemm(X, W1, out=A1_out)
             np.tanh(np.add(A1, b1, out=A1), out=A1)
-            logits = A1.dot(W2, out=logits_out)
+            logits = gemm(A1, W2, out=logits_out)
             logits += b2
             return A1, logits
 
@@ -294,11 +322,13 @@ class MlpObjective(Objective):
         """``(forward, backward)`` bound to ``params`` (see :meth:`_forward`).
         ``backward`` writes every gradient block into one vector of its
         own, which it returns on every call; with ``rows``, it also writes
-        the back-propagated array into one of its own."""
-        W2T = self._unpack(params)[2].T
-        g = np.empty(self.dim)
+        the back-propagated array into one of its own. The gradient of a
+        stack is a stack of the same shape."""
+        W2T = self._unpack(params)[2].swapaxes(-1, -2)
+        g = np.empty(params.shape)
         gW1, gb1, gW2, gb2 = self._unpack(g)
-        dZ1_out = None if rows is None else np.empty((rows, self.hidden))
+        gemm = _gemm(params)
+        dZ1_out = None if rows is None else np.empty(params.shape[:-1] + (rows, self.hidden))
 
         def backward(X, A1, P, onehot):
             """The gradient from the hidden activations ``A1`` and the
@@ -306,14 +336,14 @@ class MlpObjective(Objective):
             one-hot row changes only the target's entry, since
             ``p - 0.0 == p``."""
             P -= onehot
-            P /= _row_count(X.shape[0])
-            np.dot(A1.T, P, out=gW2)
-            np.add.reduce(P, axis=0, out=gb2)
-            dZ1 = P.dot(W2T, out=dZ1_out)
+            P /= _row_count(X.shape[-2])
+            gemm(A1.swapaxes(-1, -2), P, out=gW2)
+            np.add.reduce(P, axis=-2, out=gb2)
+            dZ1 = gemm(P, W2T, out=dZ1_out)
             A1 *= A1
             dZ1 *= np.subtract(1.0, A1, out=A1)
-            np.dot(X.T, dZ1, out=gW1)
-            np.add.reduce(dZ1, axis=0, out=gb1)
+            gemm(X.swapaxes(-1, -2), dZ1, out=gW1)
+            np.add.reduce(dZ1, axis=-2, out=gb1)
             return g
 
         return self._forward(params, rows), backward
@@ -332,17 +362,17 @@ class MlpObjective(Objective):
         """Binds a parameter vector of its own and every work array to
         ``X``'s rows once; each call copies ``params`` in and writes them
         all again, so nothing of one call leaks into the next."""
-        labels = _class_ids(y)
         bound = np.empty(self.dim)
         forward, backward = self._bind(bound, X.shape[0])
         log_softmax = self._log_softmax
-        rows = np.arange(X.shape[0])
+        # each row's label entry, as a flat index into the row-major logits
+        flat = _read_only(np.arange(X.shape[0]) * self.classes + _class_ids(y))
 
         def evaluate(params):
             np.copyto(bound, params)
             A1, logits = forward(X)
             logp = log_softmax(logits)
-            loss = float(-np.mean(logp[rows, labels]))
+            loss = float(-np.mean(logp.ravel().take(flat)))
             return loss, backward(X, A1, np.exp(logp, out=logp), t)
 
         return evaluate
@@ -363,4 +393,4 @@ class MlpObjective(Objective):
 
     def prepare(self, y):
         """One-hot rows: ``prepare(y)[..., j]`` is 1.0 where ``y == j``."""
-        return np.eye(self.classes)[np.asarray(y).astype(np.int64)]
+        return self._identity[np.asarray(y).astype(np.int64)]

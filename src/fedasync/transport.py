@@ -212,12 +212,15 @@ class _Buffer:
     decoded, and frames written behind but not yet sent. A header that
     declares more than the longest legal frame on a run whose parameter
     vectors have ``dim`` elements (a Push) is refused when it is read,
-    before its body is waited for."""
+    before its body is waited for. On a ``worker``'s end such a frame
+    can only come from a server with another config, and the refusal
+    says so."""
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, worker: bool = False):
         self.inbox, self.outbox = bytearray(), bytearray()
         rows = _LAYOUT.values()
         self.max_frame = max(1 + r.fixed.size + r.vector * (_CNT.size + 8 * dim) for r in rows)
+        self.dim, self.worker = dim, worker
 
     def put(self, msg: Message) -> None:
         self.outbox += encode(msg)
@@ -252,7 +255,15 @@ class _Buffer:
 
     def next(self) -> Message | None:
         """Take the first whole frame from the inbox, or None."""
-        out = decode_frame(self.inbox, self.max_frame)
+        try:
+            out = decode_frame(self.inbox, self.max_frame)
+        except OversizeFrameError as exc:
+            if not self.worker:
+                raise
+            raise OversizeFrameError(
+                f"server's frame is longer than any frame of this worker's problem "
+                f"({self.dim} parameters), so the configs differ ({exc})"
+            ) from None
         if out is None:
             return None
         msg, used = out
@@ -354,7 +365,7 @@ def worker_loop(
     if problem is None:
         problem = build_problem(cfg)
     session = _WorkerSession(cfg, worker_id, problem)
-    buf = _Buffer(problem.x0.size)
+    buf = _Buffer(problem.x0.size, worker=True)
     buf.put(PullRequest(worker_id=worker_id))
     with _no_delay(socket.create_connection(address, timeout=socket_timeout)) as sock:
         while not session.done:
@@ -368,7 +379,7 @@ class _LocalWorker:
     the server's selector loop instead of a thread of its own."""
 
     def __init__(self, session: _WorkerSession, address: tuple[str, int]):
-        self.session, self.buf = session, _Buffer(session.problem.x0.size)
+        self.session, self.buf = session, _Buffer(session.problem.x0.size, worker=True)
         self.buf.put(PullRequest(worker_id=session.worker_id))
         self.sock = _no_delay(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
         self.sock.setblocking(False)

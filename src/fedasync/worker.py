@@ -4,6 +4,8 @@ A worker pulls the current global model, runs a random number of
 regularized SGD steps on its own shard, and sends back the resulting
 parameters together with the epoch the pull happened at. The same
 function drives the in-process simulators and the TCP worker process.
+The devices of a FedAvg round, which all pull one model, train together
+as one stack (:func:`train_round`), with the same draws and bits.
 """
 
 from __future__ import annotations
@@ -131,35 +133,87 @@ def local_train(
     else:
         X, y = sample_minibatch(shard, cfg.batch_size, rng, steps)
         batches = list(zip(X, objective.prepare(y)))
-    x = _descend(objective, anchor, batches, cfg, checked=False)
+    x = _descend(objective, anchor.copy(), anchor, batches, cfg)
     # Exact without per-step checks: a non-finite gradient makes the
     # iterate non-finite in the same step (x -= gamma * g, and 0 * inf
     # is NaN), and under that update a non-finite coordinate never
     # becomes finite again. So the final iterate is finite exactly when
     # every gradient and iterate along the way was.
     if not np.isfinite(x).all():
-        _descend(objective, anchor, batches, cfg, checked=True)
+        _descend(objective, anchor.copy(), anchor, batches, cfg, checked=True)
     return LocalUpdate(params=x, tau=tau, worker_id=worker_id, local_iters=steps)
+
+
+def train_round(
+    objective: Objective,
+    shards: list[Shard],
+    anchor: np.ndarray,
+    cfg: WorkerConfig,
+    rngs: list[np.random.Generator],
+) -> tuple[np.ndarray, list[int]]:
+    """The local tasks of ``k`` devices that start from one pulled model:
+    a ``(k, dim)`` stack whose row ``r`` is the ``params`` of
+    ``local_train(objective, shards[r], anchor, ..., cfg, rngs[r])``, bit
+    for bit, and the ``k`` step counts. Each device makes
+    :func:`local_train`'s draws from its own stream.
+
+    When ``k > 1``, ``h_min == h_max`` and the batches share a shape (a
+    ``batch_size`` is set, or the shards are of one length), the tasks
+    train as one stack: the batches are stacked as ``(steps, k, batch,
+    d)``, the targets are prepared once, and every kernel call serves all
+    ``k`` iterates. Each row runs the same arithmetic in the same order
+    as a task alone (see :func:`fedasync.numerics._gemm`). A stacked row
+    that ends non-finite is replayed alone, checked, as
+    :func:`local_train` replays a task, so the first diverging device in
+    the given order raises the step that :func:`local_train` would.
+    Otherwise each device runs :func:`local_train` in turn: one device
+    (serial SGD) trains faster by ``.dot`` than as a stack of one.
+    """
+    k = len(shards)
+    if k == 1 or cfg.h_min != cfg.h_max or (
+        cfg.batch_size is None and len({len(shard) for shard in shards}) > 1
+    ):
+        updates = [local_train(objective, s, anchor, 0, cfg, g) for s, g in zip(shards, rngs)]
+        return np.array([u.params for u in updates]), [u.local_iters for u in updates]
+    if any(len(shard) == 0 for shard in shards):
+        raise ValueError("cannot train on an empty shard")
+    anchor = objective._check(anchor, shards[0].features)
+    # the one value h_min: a degenerate range consumes no draw
+    steps = [choose_steps(cfg, rng) for rng in rngs]
+    if cfg.batch_size is None:
+        X, y = np.stack([s.features for s in shards]), np.stack([s.targets for s in shards])
+        batches = [(X, objective.prepare(y))] * steps[0]
+    else:
+        draws = [sample_minibatch(s, cfg.batch_size, g, steps[0]) for s, g in zip(shards, rngs)]
+        features, targets = zip(*draws)
+        X, y = np.stack(features, axis=1), np.stack(targets, axis=1)
+        batches = list(zip(X, objective.prepare(y)))
+    x = _descend(objective, np.repeat(anchor[None], k, axis=0), anchor, batches, cfg)
+    for r in np.flatnonzero(~np.isfinite(x).all(axis=1)):
+        row = [(Xh[r], th[r]) for Xh, th in batches]
+        _descend(objective, anchor.copy(), anchor, row, cfg, checked=True)
+    return x, steps
 
 
 def _descend(
     objective: Objective,
+    x: np.ndarray,
     anchor: np.ndarray,
     batches: list[tuple[np.ndarray, np.ndarray]],
     cfg: WorkerConfig,
-    checked: bool,
+    checked: bool = False,
 ) -> np.ndarray:
-    """The local SGD steps from ``anchor``, one per ``(X, t)`` batch of
-    features and prepared targets.
+    """The local SGD steps from ``x``, a copy of ``anchor`` or a ``(k,
+    dim)`` stack of copies, which every step updates in place, one step
+    per ``(X, t)`` batch of features and prepared targets.
 
     ``checked`` raises ``DivergenceError`` at the first step whose
     gradient or iterate is not finite; the caller has validated the
     anchor and the features, so the unchecked step kernel is used, bound
-    once to the iterate, which every step updates in place.
+    once to the iterate.
     """
     # 0-d arrays: numpy scales by them without converting a Python float
     gamma, rho = np.array(cfg.gamma), np.array(cfg.rho)
-    x = anchor.copy()
     step, prox = objective._step_kernel(x), cfg.rho != 0.0
     for h, (X, t) in enumerate(batches):
         g = step(x, X, t)

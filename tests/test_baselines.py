@@ -1,8 +1,11 @@
 """Unit tests for the synchronous-rounds and single-stream baselines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import fedasync.baselines as baselines
 from fedasync.baselines import FedAvgConfig, run_fedavg, run_serial_sgd
 from fedasync.server import ServerConfig
 from fedasync.simulator import (
@@ -12,7 +15,7 @@ from fedasync.simulator import (
     build_problem,
     run_fedasync_sampled,
 )
-from fedasync.worker import WorkerConfig
+from fedasync.worker import DivergenceError, WorkerConfig, local_train
 from watch import watching
 
 
@@ -146,6 +149,74 @@ class TestFedAvg:
         b = run_fedavg(cfg, favg=FedAvgConfig(k=2))
         assert [r.cells() for r in a.records] == [r.cells() for r in b.records]
         np.testing.assert_array_equal(a.final_params, b.final_params)
+
+
+class TestStackedRounds:
+    """A round trains its devices as one stack (``train_round``); a run
+    must be the run of rounds made of one ``local_train`` per device."""
+
+    @staticmethod
+    def _sequential_round(raised):
+        """The reference round; it appends to ``raised`` the index of a
+        device whose task diverged."""
+
+        def train(objective, shards, anchor, cfg, rngs):
+            updates = []
+            for r, (shard, rng) in enumerate(zip(shards, rngs)):
+                try:
+                    updates.append(local_train(objective, shard, anchor, 0, cfg, rng))
+                except DivergenceError:
+                    raised.append(r)
+                    raise
+            return np.array([u.params for u in updates]), [u.local_iters for u in updates]
+
+        return train
+
+    @pytest.mark.parametrize("task", ["quadratic", "logistic", "mlp"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("batch_size", [None, 3])
+    def test_runs_equal_sequential_rounds(self, monkeypatch, task, k, batch_size):
+        cfg = _cfg(
+            task=task,
+            n_classes=3 if task == "mlp" else 2,
+            hidden=6,
+            total_epochs=8,
+            worker=WorkerConfig(gamma=0.2, rho=0.0, h_min=3, h_max=3, batch_size=batch_size),
+        )
+        stacked = run_fedavg(cfg, favg=FedAvgConfig(k=k))
+        monkeypatch.setattr(baselines, "train_round", self._sequential_round([]))
+        sequential = run_fedavg(cfg, favg=FedAvgConfig(k=k))
+        assert stacked.final_params.tobytes() == sequential.final_params.tobytes()
+        assert stacked.records == sequential.records
+        assert stacked.state.n_gradients == sequential.state.n_gradients == 8 * k * 3
+
+    def test_second_of_three_diverging_fails_the_run_as_sequential_rounds_do(
+        self, monkeypatch
+    ):
+        # device 1's features are 30 times the others': the averaged model
+        # grows until device 1's task overflows, some rounds in
+        cfg = _cfg(
+            n_workers=3,
+            total_epochs=60,
+            n_samples=90,
+            dim=4,
+            worker=WorkerConfig(gamma=0.3, rho=0.0, h_min=4, h_max=4, batch_size=5),
+        )
+        problem = build_problem(cfg)
+        wide = replace(problem.shards[1], features=problem.shards[1].features * 30.0)
+        problem = replace(problem, shards=[problem.shards[0], wide, problem.shards[2]])
+        favg = FedAvgConfig(k=3, local_steps=4)
+        raised = []
+        with np.errstate(all="ignore"):
+            with pytest.raises(RunFailure) as stacked:
+                run_fedavg(cfg, problem, favg)
+            monkeypatch.setattr(baselines, "train_round", self._sequential_round(raised))
+            with pytest.raises(RunFailure) as sequential:
+                run_fedavg(cfg, problem, favg)
+        assert raised == [1]
+        assert stacked.value.epoch == sequential.value.epoch > 1
+        assert stacked.value.records == sequential.value.records
+        assert stacked.value.cause.iteration == sequential.value.cause.iteration
 
 
 class TestSerialSgd:

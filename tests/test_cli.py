@@ -823,15 +823,17 @@ class TestServeWorkerCommands:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"127.0.0.1:{port}" in err and "PullResponse" in err
 
-    def test_worker_with_another_config_than_the_server_fails_in_one_line(self, capsys):
-        # the server runs dim=5 and the worker dim=8: the PullResponse is
-        # refused where it is read, not in local_train with a traceback
+    @staticmethod
+    def _worker_against(capsys, pulled, worker_dim):
+        """``fedasync worker`` at ``dim=worker_dim`` against a fake server
+        that sends one Trigger and a PullResponse of ``pulled``: the port
+        and the one line the worker printed, after it exited 1."""
         from fedasync.transport import PullResponse, Trigger, encode
 
         def fake_server(listener):
             conn, _ = listener.accept()
             with conn:
-                conn.sendall(encode(Trigger(epoch=0)) + encode(PullResponse(0, np.zeros(5))))
+                conn.sendall(encode(Trigger(epoch=0)) + encode(PullResponse(0, pulled)))
                 while conn.recv(4096):
                     pass
 
@@ -842,15 +844,31 @@ class TestServeWorkerCommands:
             server.start()
             try:
                 argv = ["worker", "--connect", f"127.0.0.1:{port}", "--worker-id", "0",
-                        "task=quadratic", "n_samples=80", "dim=8"]
+                        "task=quadratic", "n_samples=80", f"dim={worker_dim}"]
                 assert main(argv) == 1
             finally:
                 server.join(timeout=30)
         assert not server.is_alive()
         [line] = capsys.readouterr().err.splitlines()
+        return port, line
+
+    def test_worker_with_another_config_than_the_server_fails_in_one_line(self, capsys):
+        # the server runs dim=5 and the worker dim=8: the PullResponse is
+        # refused where it is read, not in local_train with a traceback
+        port, line = self._worker_against(capsys, np.zeros(5), 8)
         assert line == (
             f"connection to 127.0.0.1:{port} failed: "
             "server sent 5 parameters, this worker's problem has 8"
+        )
+
+    def test_worker_against_a_longer_model_names_the_config_mismatch(self, capsys):
+        # the server runs dim=8 and the worker dim=5: the frame cap refuses
+        # the PullResponse's header, and the line says why
+        port, line = self._worker_against(capsys, np.zeros(8), 5)
+        assert line == (
+            f"connection to 127.0.0.1:{port} failed: server's frame is longer than any "
+            "frame of this worker's problem (5 parameters), so the configs differ "
+            "(declared length 81 exceeds cap 73)"
         )
 
     @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1"])

@@ -6,7 +6,8 @@ one of the five algorithms on each of the three tasks at tiny sizes, with
 an evaluation row after every epoch, so every bound kernel (the step, the
 training-split evaluation and the held-out score) writes into the CSVs.
 One wide network (``hidden=64``) under the sampled mode runs the MLP's
-work arrays at a width where the row max folds many rows. The TCP
+work arrays at a width where the row max folds many rows; another, under
+FedAvg with three devices a round, runs the stacked round kernels. The TCP
 algorithm runs one worker, whose order of events is fixed. The same
 matrix, run with every objective's checked one-shot forms made to raise,
 shows that a run calls only the bound kernels.
@@ -57,6 +58,11 @@ CASES: dict[str, list[str]] = {
 CASES["fedasync-sampled/wide-mlp"] = [
     "algorithm=fedasync-sampled", "task=mlp", "hidden=64", "n_classes=4", "n_samples=100",
     "dim=6", "n_workers=2", "total_epochs=6", "eval_every=1", "h_min=1", "h_max=2",
+    "batch_size=8", "repeats=1",
+]
+CASES["fedavg/wide-mlp"] = [
+    "algorithm=fedavg", "task=mlp", "hidden=64", "n_classes=4", "n_samples=100", "dim=6",
+    "n_workers=4", "k=3", "total_epochs=6", "eval_every=1", "h_min=2", "h_max=4",
     "batch_size=8", "repeats=1",
 ]
 
@@ -141,6 +147,11 @@ DIGESTS: dict[str, dict[str, str]] = {
         'rep000.csv': 'd24b72ffc74bceffbf713fbc17ef05878e8d98fad8a234f2ffae108bb10365e8',
         'rep000_params.txt': '0bd7f20d9447fb8addbf96e216a4cec79ba240490e2a286fce3a2005c327738f',
         'summary.csv': '68098b3be8feb6ae3570e92d2fa472b2bbab95abcb889db7ff3724e2c11176e4',
+    },
+    'fedavg/wide-mlp': {
+        'rep000.csv': '8de03bc5f2b477e86538049a6326594de8822fe70a255cd70c5dabd60729a308',
+        'rep000_params.txt': 'e4a9f8accf3489f36a378761c4d4d22a94a438f5706983dbb20f82416dd78b12',
+        'summary.csv': 'efa659e20f16b1ae0babe7d375b6e4a237418029fc49c5791f538cd0b4757ec3',
     },
 }
 

@@ -185,13 +185,14 @@ class TestBuildProblem:
         cfg = _cfg(task="mlp", n_classes=3, hidden=4, total_epochs=20)
         problem = build_problem(cfg)
         bound = inspect.getclosurevars(problem.evaluate).nonlocals
-        onehot, labels = bound["t"], bound["labels"]
-        kept = onehot.copy(), labels.copy()
-        assert not onehot.flags.writeable and not labels.flags.writeable
+        onehot, flat = bound["t"], bound["flat"]
+        kept = onehot.copy(), flat.copy()
+        assert not onehot.flags.writeable and not flat.flags.writeable
         np.testing.assert_array_equal(onehot, problem.objective.prepare(problem.train.targets))
-        np.testing.assert_array_equal(labels, problem.train.targets)
+        # each row's label entry in the row-major n x 3 logits
+        np.testing.assert_array_equal(flat, np.arange(64) * 3 + problem.train.targets)
         run_fedasync_latency(cfg, problem)
-        assert onehot.tobytes() == kept[0].tobytes() and labels.tobytes() == kept[1].tobytes()
+        assert onehot.tobytes() == kept[0].tobytes() and flat.tobytes() == kept[1].tobytes()
 
     def test_shards_cover_training_split(self):
         problem = build_problem(_cfg())

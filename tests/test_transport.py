@@ -986,12 +986,18 @@ class TestMalformedPushes:
 class TestForeignModels:
     # a server whose config is not the worker's: its PullResponse is refused
     # before any training, and the worker sends nothing after its PullRequest.
-    # A longer vector than the problem's already overruns the frame cap.
+    # A longer vector than the problem's overruns the frame cap, whose
+    # refusal names the cause.
     @pytest.mark.parametrize(
         "params, error, match",
         [
             (np.zeros(3), ProtocolError, "server sent 3 parameters, this worker's problem has 5"),
-            (np.zeros(8), OversizeFrameError, "exceeds cap"),
+            (
+                np.zeros(8),
+                OversizeFrameError,
+                r"server's frame is longer than any frame of this worker's problem "
+                r"\(5 parameters\), so the configs differ \(declared length 81 exceeds cap 73\)",
+            ),
             (np.array([0.0, 0.0, np.nan, 0.0, 0.0]), ProtocolError, "non-finite"),
             (np.array([0.0, np.inf, 0.0, 0.0, 0.0]), ProtocolError, "non-finite"),
         ],

@@ -21,6 +21,7 @@ from fedasync.worker import (
     choose_steps,
     local_train,
     skip_task,
+    train_round,
 )
 
 
@@ -392,3 +393,113 @@ class TestSkipTask:
                 local_train(objective, shard, anchor, 0, cfg, trained)
                 skip_task(shard, cfg, skipped)
                 assert trained.bit_generator.state == skipped.bit_generator.state
+
+
+def _round_shards(k, d, classes, equal=True, seed=0):
+    """``k`` shards of random rows, 30 each or of 20, 23, 26, ... rows;
+    class ids in ``[0, classes)``, or real targets when ``classes`` is 0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for r in range(k):
+        m = 30 if equal else 20 + 3 * r
+        y = rng.integers(0, classes, m) if classes else rng.standard_normal(m)
+        out.append(Shard(r, rng.standard_normal((m, d)), y, np.arange(m)))
+    return out
+
+
+def _sequential(objective, shards, anchor, cfg, rngs):
+    """The reference round: one ``local_train`` per device, in order."""
+    return [local_train(objective, s, anchor, 0, cfg, g, worker_id=r)
+            for r, (s, g) in enumerate(zip(shards, rngs))]
+
+
+def _streams(k, seed=3):
+    return [worker_rng(seed, r) for r in range(k)]
+
+
+class TestTrainRound:
+    """``train_round`` steps the devices of a round as one stack; each row
+    must be the device's ``local_train`` result, bit for bit."""
+
+    @staticmethod
+    def _same_bits(stack, steps, updates):
+        assert stack.shape == (len(updates), updates[0].params.size)
+        assert [row.tobytes() for row in stack] == [u.params.tobytes() for u in updates]
+        assert steps == [u.local_iters for u in updates]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    @pytest.mark.parametrize("hidden", [1, 4, 105])
+    @pytest.mark.parametrize("classes", [2, 3, 8])
+    @pytest.mark.parametrize(
+        "batch_size, equal", [(1, False), (20, False), (None, True), (None, False)]
+    )
+    def test_mlp_rows_equal_sequential_local_train(self, k, hidden, classes, batch_size, equal):
+        obj = MlpObjective(5, hidden, classes)
+        shards = _round_shards(k, 5, classes, equal, seed=k * hidden * classes)
+        anchor = np.random.default_rng(hidden).standard_normal(obj.dim) * 0.5
+        cfg = WorkerConfig(gamma=0.3, rho=0.05, h_min=6, h_max=6, batch_size=batch_size)
+        updates = _sequential(obj, shards, anchor, cfg, _streams(k))
+        stack, steps = train_round(obj, shards, anchor, cfg, _streams(k))
+        self._same_bits(stack, steps, updates)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    @pytest.mark.parametrize(
+        "batch_size, equal", [(1, False), (7, False), (None, True), (None, False)]
+    )
+    def test_linear_rows_equal_sequential_local_train(self, kind, batch_size, equal):
+        obj = QuadraticObjective(4) if kind == "quadratic" else LogisticObjective(4, l2=0.01)
+        shards = _round_shards(3, 4, 0 if kind == "quadratic" else 2, equal, seed=1)
+        anchor = np.random.default_rng(2).standard_normal(4)
+        cfg = WorkerConfig(gamma=0.1, rho=0.7, h_min=5, h_max=5, batch_size=batch_size)
+        updates = _sequential(obj, shards, anchor, cfg, _streams(3))
+        stack, steps = train_round(obj, shards, anchor, cfg, _streams(3))
+        self._same_bits(stack, steps, updates)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+    @pytest.mark.parametrize("batch_size", [None, 1, 7])
+    @pytest.mark.parametrize("h_min, h_max", [(3, 3), (1, 9)])
+    def test_every_stream_ends_where_sequential_training_leaves_it(
+        self, kind, batch_size, h_min, h_max
+    ):
+        objective, shard = _problem(kind, 40)
+        shards = [shard] * 4
+        anchor = np.random.default_rng(0).standard_normal(objective.dim) * 0.1
+        cfg = WorkerConfig(gamma=0.1, rho=0.01, h_min=h_min, h_max=h_max, batch_size=batch_size)
+        sequential, stacked = _streams(4), _streams(4)
+        for _ in range(3):  # consecutive rounds on the same streams
+            updates = _sequential(objective, shards, anchor, cfg, sequential)
+            stack, steps = train_round(objective, shards, anchor, cfg, stacked)
+            self._same_bits(stack, steps, updates)
+            assert [g.bit_generator.state for g in stacked] == [
+                g.bit_generator.state for g in sequential
+            ]
+
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+    def test_second_of_three_diverging_raises_its_step(self, kind):
+        # device 1's shard holds one infinite feature: its gradient turns
+        # non-finite at the first step whose batch draws that row (step 4
+        # on its stream), while devices 0 and 2 train to finite models
+        obj = QuadraticObjective(3) if kind == "quadratic" else MlpObjective(3, 4, 3)
+        shards = _round_shards(3, 3, 0 if kind == "quadratic" else 3, seed=4)
+        shards[1].features[5, 2] = np.inf
+        anchor = np.random.default_rng(5).standard_normal(obj.dim)
+        cfg = WorkerConfig(gamma=0.1, rho=0.01, h_min=12, h_max=12, batch_size=4)
+        with np.errstate(all="ignore"):
+            for r in (0, 2):
+                alone = local_train(obj, shards[r], anchor, 0, cfg, _streams(3)[r])
+                assert np.isfinite(alone.params).all()
+            with pytest.raises(DivergenceError) as sequential:
+                _sequential(obj, shards, anchor, cfg, _streams(3))
+            with pytest.raises(DivergenceError) as stacked:
+                train_round(obj, shards, anchor, cfg, _streams(3))
+        assert stacked.value.iteration == sequential.value.iteration == 4
+
+    def test_anchor_is_validated_and_kept(self):
+        obj = MlpObjective(5, 4, 3)
+        shards = _round_shards(2, 5, 3)
+        cfg = WorkerConfig(gamma=0.1, h_min=2, h_max=2, batch_size=3)
+        with pytest.raises(ValueError, match=f"expected {obj.dim} parameters"):
+            train_round(obj, shards, np.zeros(obj.dim - 1), cfg, _streams(2))
+        anchor = np.ones(obj.dim)
+        train_round(obj, shards, anchor, cfg, _streams(2))
+        np.testing.assert_array_equal(anchor, np.ones(obj.dim))
