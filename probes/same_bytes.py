@@ -13,12 +13,17 @@ subprocess whose ``PYTHONPATH`` is that tree:
   ``k=3``. ``fedasync-net`` runs one worker, the case whose order of
   events is fixed;
 * ``fedasync compare --out`` over each task's five summaries;
-* ``fedasync gen-data`` for each task.
+* ``fedasync gen-data`` for each task;
+* refusals, each of one configuration problem, that must exit 2 and
+  write nothing: ``run`` with ``n_classes > dim``, with an ``eval_frac``
+  that leaves no training row and with too few training rows to shard,
+  and ``gen-data`` with an unknown key.
 
 Each tree's commands run in a directory of their own, with the same
 relative paths, and each command's exit status, stdout and stderr are
 kept as files beside what it wrote. Prints the first file and line that
-differ and exits 1, or prints how many files matched and exits 0.
+differ and exits 1, or prints how many files matched and exits 0 (1 if a
+command exited otherwise than it should in both trees).
 """
 
 from __future__ import annotations
@@ -46,9 +51,18 @@ ALGORITHMS = {
 }
 
 
+REFUSALS = {  # name -> keys with one problem; the run writes nothing
+    "refuse/n_classes": ["run", "algorithm=sgd", "task=mlp", "n_classes=12", "dim=10"],
+    "refuse/eval_frac": ["run", "algorithm=sgd", "eval_frac=0.9999"],
+    "refuse/shards": ["run", "algorithm=sgd", "n_workers=5000"],
+    "refuse_data.txt": ["gen-data", "n_samples=20", "bogus=1"],
+}
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """``(name, fedasync argv)`` in the order they run; ``name`` is the
-    output path the command writes, relative to its tree's directory."""
+    output path the command writes, relative to its tree's directory (a
+    refusal's name is in :data:`REFUSALS`, and it writes nothing)."""
     out = []
     for task, task_keys in TASKS.items():
         for algorithm, keys in ALGORITHMS.items():
@@ -71,12 +85,14 @@ def commands() -> list[tuple[str, list[str]]]:
         name = f"data_{task}.txt"
         out.append((name, ["gen-data", "--out", name, "n_samples=200", "dim=8", "seed=3",
                            *task_keys]))
+    for name, (command, *keys) in REFUSALS.items():
+        out.append((name, [command, "--out", name, *keys]))
     return out
 
 
 def run_tree(src: str, workdir: str) -> list[str]:
     """Run every command with ``src`` first on the path; the names of those
-    that exited non-zero."""
+    that exited otherwise than they should: non-zero, or a refusal not 2."""
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     os.makedirs(os.path.join(workdir, "run"))
     os.makedirs(os.path.join(workdir, "log"))
@@ -86,7 +102,7 @@ def run_tree(src: str, workdir: str) -> list[str]:
                               capture_output=True, text=True)
         with open(os.path.join(workdir, "log", name.replace("/", "_")), "w") as fh:
             fh.write(f"exit {done.returncode}\n--- stdout\n{done.stdout}--- stderr\n{done.stderr}")
-        if done.returncode != 0:
+        if done.returncode != (2 if name in REFUSALS else 0):
             failed.append(name)
     return failed
 
@@ -135,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"differ at {diff}")
             return 1
         if failed:  # the same failure in both trees compares nothing
-            print(f"same bytes, but these commands failed in both trees: {', '.join(failed)}")
+            print(f"same bytes, but these exited wrongly in both trees: {', '.join(failed)}")
             return 1
         print(f"same bytes: {len(files_under(this_dir))} files from {len(commands())} commands")
         return 0

@@ -29,7 +29,7 @@ from fedasync.worker import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FedAvgConfig:
     """Round structure of the synchronous baseline: ``k`` devices per
     round, each taking ``local_steps`` steps. ``local_steps`` of None
@@ -116,7 +116,6 @@ def run_serial_sgd(
     if problem is None:
         problem = build_problem(cfg)
     pooled = Shard(
-        device_id=0,
         features=problem.train.features,
         targets=problem.train.targets,
         indices=np.arange(len(problem.train)),

@@ -11,11 +11,12 @@ its command-line default, how its text parses, and the algorithm, task
 or strategy values it applies to. Its bound is the rule on that field
 (:mod:`fedasync.rules`). Parsing, the range and applicability checks,
 the construction of the configuration objects, and the ``# key=value``
-header that every emitted file carries all come from these rows.
-:func:`parse_config` also checks the conditions that span keys, so a
-configuration problem ends any subcommand before it writes anything,
-with exit status 2 and every problem listed (caught once, in
-:func:`main`).
+header that every emitted file carries all come from these rows. The
+conditions that span keys are the configuration classes' own
+(``conflicts``); :func:`parse_config` reports them with the problems of
+the keys, so a configuration problem ends any subcommand before it
+writes anything, with exit status 2 and every problem listed (caught
+once, in :func:`main`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from fedasync.baselines import FedAvgConfig, run_fedavg, run_serial_sgd
-from fedasync.data import eval_rows, save_dataset
+from fedasync.data import save_dataset
 from fedasync.metrics import (
     CSV_HEADER,  # not used here; bench/test_checks.py reads cli.CSV_HEADER
     FIELDS,
@@ -178,50 +179,31 @@ KEYS: dict[str, Key] = {
 }
 
 
-def _read_config_file(path: str, problems: list[str]) -> dict[str, str]:
-    out: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    problems.append(f"{path}:{line_no}: expected key=value, got {line!r}")
-                    continue
-                out[key.strip()] = value.strip()
-    except OSError as exc:
-        problems.append(f"cannot read config file {path}: {exc}")
-    return out
-
-
-def _consistency_checks(v: dict, explicit: set[str], problems: list[str]) -> None:
-    """Keys set where they do not apply, and the conditions that span
-    keys, so that no configuration that passes fails later on."""
-    for key, row in KEYS.items():
-        if key in explicit and row.by and v[row.by] is not None and v[row.by] not in row.applies:
-            only = "/".join(row.applies)
-            problems.append(f"{key} only applies to {row.by}={only} ({row.by}={v[row.by]})")
-    if v["strategy"] == "hinge" and "hinge_b" not in explicit:
-        problems.append("strategy=hinge requires an explicit hinge_b")
-    task, n, dim, n_classes = v["task"], v["n_samples"], v["dim"], v["n_classes"]
-    classify, cpd = task in CLASSIFY, v["classes_per_device"]
-    if classify and n_classes > dim:
-        problems.append(f"n_classes: task={task} needs n_classes <= dim (got {n_classes} > {dim})")
-    if classify and cpd > n_classes:
-        problems.append(f"classes_per_device: must be <= n_classes (got {cpd} > {n_classes})")
-    if not classify and n < dim:
-        problems.append(f"n_samples: task={task} needs n_samples >= dim (got {n} < {dim})")
-    if v["algorithm"] == "fedavg" and v["k"] > v["n_workers"]:
-        problems.append(f"k: must be <= n_workers (got {v['k']} > {v['n_workers']})")
-    n_train = n - eval_rows(n, v["eval_frac"])
-    skewed = cpd > 0 and not (classify and cpd == n_classes)
-    blocks = v["n_workers"] * (cpd if skewed else 1)
-    if n_train < 1:
-        problems.append(f"eval_frac: leaves none of the {n} samples for training")
-    elif blocks > n_train:
-        problems.append(f"n_workers: sharding needs {blocks} training rows, there are {n_train}")
+def _raw_keys(path: str | None, overrides: list[str], problems: list[str]) -> dict[str, str]:
+    """The ``key=value`` texts of the config file at ``path``, then of the
+    command line, which win; a line or token not ``key=value`` is a problem."""
+    raw: dict[str, str] = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for line_no, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    key, sep, value = line.partition("=")
+                    if not sep:
+                        problems.append(f"{path}:{line_no}: expected key=value, got {line!r}")
+                        continue
+                    raw[key.strip()] = value.strip()
+        except OSError as exc:
+            problems.append(f"cannot read config file {path}: {exc}")
+    for tok in overrides:
+        key, sep, value = tok.partition("=")
+        if not sep:
+            problems.append(f"override {tok!r}: expected key=value")
+            continue
+        raw[key.strip()] = value.strip()
+    return raw
 
 
 def _show(value, blank: str) -> str:
@@ -247,18 +229,16 @@ def parse_config(
     :class:`ConfigError`. No data is generated here.
     """
     problems: list[str] = []
-    raw: dict[str, str] = {}
-    if config_path is not None:
-        raw.update(_read_config_file(config_path, problems))
-    for tok in overrides:
-        key, sep, value = tok.partition("=")
-        if not sep:
-            problems.append(f"override {tok!r}: expected key=value")
-            continue
-        raw[key.strip()] = value.strip()
+    return _spec(_raw_keys(config_path, overrides, problems), problems, require_algorithm)
 
+
+def _spec(raw: dict[str, str], problems: list[str], require_algorithm: bool) -> RunSpec:
+    """The RunSpec of the raw keys, or a :class:`ConfigError` listing
+    ``problems`` and every problem of the keys. A key that breaks its
+    rule is checked no further; a class's rules across fields
+    (``conflicts``) are checked once all of its keys hold."""
     values = {key: row.default for key, row in KEYS.items()}
-    explicit = set()
+    explicit, bad = set(), set()
     for key, text in raw.items():
         if key not in KEYS:
             problems.append(f"unknown key {key!r}")
@@ -268,6 +248,7 @@ def parse_config(
             values[key] = KEYS[key].parse(text)
         except ValueError:
             problems.append(f"{key}: cannot parse {text!r}")
+            bad.add(key)
     if values["batch_size"] == "auto":
         values["batch_size"] = 20 if values["task"] == "quadratic" else 50
 
@@ -275,27 +256,36 @@ def parse_config(
         problems.append("algorithm is required (one of " + ", ".join(ALGORITHMS) + ")")
     for key, row in KEYS.items():
         rule = rule_of(row.owner, row.attr or key)
-        if rule is not None and not rule.holds(values[key]):
+        if rule is not None and not rule.holds(values[key]):  # a default holds its rule
             problems.append(f"{key}: {rule.text} (got {values[key]!r})")
-    if not problems:
-        _consistency_checks(values, explicit, problems)
-    if problems:
-        raise ConfigError(problems)
+            bad.add(key)
+    for key, row in KEYS.items():
+        by = row.by  # "" for a key that applies everywhere, and values.get("") is None
+        if key in explicit - bad and by not in bad and values.get(by) not in (None, *row.applies):
+            only = "/".join(row.applies)
+            problems.append(f"{key} only applies to {by}={only} ({by}={values[by]})")
+    if values["strategy"] == "hinge" and "hinge_b" not in explicit:
+        problems.append("strategy=hinge requires an explicit hinge_b")
+    k, n_workers = values["k"], values["n_workers"]
+    if values["algorithm"] == "fedavg" and not {"k", "n_workers"} & bad and k > n_workers:
+        problems.append(f"k: must be <= n_workers (got {k} > {n_workers})")
 
     args: dict[type, dict[str, object]] = defaultdict(dict)
     for key, row in KEYS.items():
         args[row.owner][row.attr or key] = values[key]
+    for owner in (ExperimentConfig, WorkerConfig):
+        if not any(KEYS[key].owner is owner for key in bad):
+            problems += owner.conflicts(**args[owner])
+    if problems:
+        raise ConfigError(problems)
     resolved = {key: _show(values[key], row.blank) for key, row in KEYS.items()}
-    try:
-        cfg = ExperimentConfig(
-            **args[ExperimentConfig],
-            server=ServerConfig(**args[ServerConfig]),
-            worker=WorkerConfig(**args[WorkerConfig]),
-            delay=DelayModel(**args[DelayModel]),
-        )
-        favg = FedAvgConfig(**args[FedAvgConfig])
-    except ValueError as exc:  # a condition across fields, such as h_min <= h_max
-        raise ConfigError([str(exc)]) from exc
+    cfg = ExperimentConfig(
+        **args[ExperimentConfig],
+        server=ServerConfig(**args[ServerConfig]),
+        worker=WorkerConfig(**args[WorkerConfig]),
+        delay=DelayModel(**args[DelayModel]),
+    )
+    favg = FedAvgConfig(**args[FedAvgConfig])
     return RunSpec(**args[RunSpec], cfg=cfg, favg=favg, resolved=resolved)
 
 
@@ -480,11 +470,14 @@ def _parse_hostport(text: str) -> tuple[str, int]:
 
 def _net_spec(args) -> RunSpec:
     """``serve`` and ``worker`` run fedasync-net, so their keys are checked
-    as its keys; any other ``algorithm`` is refused."""
-    spec = parse_config(args.config, args.overrides, require_algorithm=False)
-    if spec.algorithm not in (None, "fedasync-net"):
-        raise ConfigError([f"algorithm: {args.command} runs fedasync-net (got {spec.algorithm!r})"])
-    return parse_config(args.config, [*args.overrides, "algorithm=fedasync-net"])
+    as its keys; any other ``algorithm`` is refused with them."""
+    problems: list[str] = []
+    raw = _raw_keys(args.config, args.overrides, problems)
+    algorithm = raw.get("algorithm", "fedasync-net")
+    if algorithm != "fedasync-net":
+        problems.append(f"algorithm: {args.command} runs fedasync-net (got {algorithm!r})")
+    raw["algorithm"] = "fedasync-net"
+    return _spec(raw, problems, require_algorithm=True)
 
 
 def cmd_serve(args) -> int:
@@ -555,14 +548,14 @@ def cmd_worker(args) -> int:
 
 def cmd_gen_data(args) -> int:
     """Write the dataset; only the keys that shape it (:data:`_DATA_KEYS`)
-    may be set, on the command line or in the config file."""
-    spec = parse_config(args.config, args.overrides, require_algorithm=False)
-    given = {tok.partition("=")[0].strip() for tok in args.overrides}
-    if args.config is not None:
-        given |= _read_config_file(args.config, []).keys()
-    unused = sorted(given.difference(_DATA_KEYS))
-    if unused:
-        raise ConfigError([f"{key}: gen-data does not read it" for key in unused])
+    may be set, on the command line or in the config file. Any other key
+    is refused along with the problems of the keys that shape it."""
+    problems: list[str] = []
+    raw = _raw_keys(args.config, args.overrides, problems)
+    for key in sorted(raw.keys() & KEYS.keys() - set(_DATA_KEYS)):
+        problems.append(f"{key}: gen-data does not read it")
+        del raw[key]
+    spec = _spec(raw, problems, require_algorithm=False)
     if os.path.exists(args.out):
         print(f"refusing to overwrite existing file {args.out!r}", file=sys.stderr)
         return 2

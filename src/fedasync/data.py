@@ -4,6 +4,10 @@ All randomness flows through ``numpy.random.Generator`` instances derived
 from ``(seed, domain, index)`` seed sequences, so every consumer of the
 same logical stream sees the same draws regardless of which process or
 execution mode it runs in.
+
+Nothing here checks its arguments: a run's sizes are checked where its
+configuration enters, by :class:`fedasync.simulator.ExperimentConfig`
+and :class:`fedasync.worker.WorkerConfig`.
 """
 
 from __future__ import annotations
@@ -58,19 +62,6 @@ class Dataset:
     task: str
     n_classes: int = 0
 
-    def __post_init__(self):
-        if self.task not in ("regression", "classification"):
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
-        if self.targets.shape != (self.features.shape[0],):
-            raise ValueError(
-                f"targets shape {self.targets.shape} does not match "
-                f"{self.features.shape[0]} samples"
-            )
-        if self.task == "classification" and self.n_classes < 2:
-            raise ValueError(f"classification needs n_classes >= 2, got {self.n_classes}")
-
     def __len__(self) -> int:
         return self.features.shape[0]
 
@@ -83,7 +74,6 @@ class Dataset:
 class Shard:
     """One device's slice of a dataset."""
 
-    device_id: int
     features: np.ndarray
     targets: np.ndarray
     indices: np.ndarray  # positions in the parent dataset
@@ -102,10 +92,6 @@ def gen_regression(
     vector ``standard_normal(dim)``, noise ``standard_normal(n_samples)``
     scaled by ``noise_std``. Targets are ``X @ w_true + noise``.
     """
-    if dim < 1 or n_samples < dim:
-        raise ValueError(f"need n_samples >= dim >= 1, got ({n_samples}, {dim})")
-    if not np.isfinite(noise_std) or noise_std < 0.0:
-        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     rng = domain_rng(seed, DATA_DOMAIN)
     X = rng.standard_normal((n_samples, dim))
     w_true = rng.standard_normal(dim)
@@ -128,17 +114,6 @@ def gen_classification(
     generator, ``domain_rng(seed, DATA_DOMAIN)``): the label permutation,
     then ``standard_normal((n_samples, dim))`` noise.
     """
-    if n_samples < 1 or dim < 1:
-        raise ValueError(f"need n_samples >= 1 and dim >= 1, got ({n_samples}, {dim})")
-    if n_classes < 2:
-        raise ValueError(f"need n_classes >= 2, got {n_classes}")
-    if n_classes > dim:
-        raise ValueError(
-            f"need n_classes <= dim to place the class means, "
-            f"got {n_classes} > {dim}"
-        )
-    if not np.isfinite(sep) or sep <= 0.0:
-        raise ValueError(f"sep must be finite and > 0, got {sep!r}")
     rng = domain_rng(seed, DATA_DOMAIN)
     labels = rng.permutation(np.arange(n_samples, dtype=np.int64) % n_classes)
     means = np.zeros((n_classes, dim))
@@ -161,40 +136,20 @@ def partition_non_iid(
     labels when class counts divide the blocks evenly), and devices far
     apart in id see disjoint ranges.
 
-    For classification ``classes_per_device`` must lie in
-    ``[1, n_classes]``; the value ``n_classes`` disables the skew, giving
-    a seeded uniform split with shard sizes differing by at most one.
-    For regression the knob counts target-range blocks per device, with
-    0 selecting the uniform split. The skewed path consumes no
-    randomness at all.
+    For classification ``classes_per_device`` lies in ``[0, n_classes]``;
+    the values 0 and ``n_classes`` disable the skew, giving a seeded
+    uniform split with shard sizes differing by at most one. For
+    regression the knob counts target-range blocks per device, with 0
+    selecting the uniform split. The skewed path consumes no randomness
+    at all. No shard is empty when there are at least as many rows as
+    blocks (``n_devices`` for the uniform split).
     """
-    n = len(dataset)
-    if not 1 <= n_devices <= n:
-        raise ValueError(f"need 1 <= n_devices <= {n} samples, got {n_devices}")
-    if dataset.task == "classification":
-        if not 1 <= classes_per_device <= dataset.n_classes:
-            raise ValueError(
-                f"classes_per_device must be in [1, {dataset.n_classes}], "
-                f"got {classes_per_device}"
-            )
-        uniform = classes_per_device == dataset.n_classes
-    else:
-        if classes_per_device < 0:
-            raise ValueError(
-                f"classes_per_device must be >= 0, got {classes_per_device}"
-            )
-        uniform = classes_per_device == 0
-    if uniform:
+    if classes_per_device in (0, dataset.n_classes):
         rng = domain_rng(seed, DATA_DOMAIN, 1)
-        order = rng.permutation(n)
+        order = rng.permutation(len(dataset))
         parts = np.array_split(order, n_devices)
     else:
         n_blocks = n_devices * classes_per_device
-        if n < n_blocks:
-            raise ValueError(
-                f"cannot form {n_blocks} blocks from {n} samples; "
-                f"reduce n_devices or classes_per_device"
-            )
         order = np.argsort(dataset.targets, kind="stable")
         blocks = np.array_split(order, n_blocks)
         parts = [
@@ -202,11 +157,10 @@ def partition_non_iid(
             for i in range(n_devices)
         ]
     shards = []
-    for device_id, idx in enumerate(parts):
+    for idx in parts:
         idx = np.sort(idx)
         shards.append(
             Shard(
-                device_id=device_id,
                 features=dataset.features[idx],
                 targets=dataset.targets[idx],
                 indices=idx,
@@ -220,10 +174,6 @@ def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator, steps: 
     with-replacement minibatches from a shard of ``n`` rows. Draw law: one
     ``rng.integers(0, n, size=(steps, batch_size))`` call, which draws row
     ``h`` and leaves the stream as ``steps`` single-batch calls would."""
-    if n == 0:
-        raise ValueError("cannot sample from an empty shard")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     return rng.integers(0, n, size=(steps, batch_size))
 
 
@@ -243,12 +193,8 @@ def eval_rows(n: int, eval_frac: float) -> int:
 
 def train_eval_split(dataset: Dataset, eval_frac: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded shuffle-and-cut into train and held-out evaluation sets."""
-    if not 0.0 < eval_frac < 1.0:
-        raise ValueError(f"eval_frac must be in (0, 1), got {eval_frac!r}")
     n = len(dataset)
     n_eval = eval_rows(n, eval_frac)
-    if n_eval >= n:
-        raise ValueError(f"eval_frac {eval_frac!r} leaves no training data")
     rng = domain_rng(seed, DATA_DOMAIN, 2)
     order = rng.permutation(n)
     eval_idx = np.sort(order[:n_eval])

@@ -178,8 +178,6 @@ class QuadraticObjective(Objective):
     """
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
 
     def prepare(self, y):
@@ -210,8 +208,6 @@ class LogisticObjective(Objective):
     """
 
     def __init__(self, dim: int, l2: float = 0.0):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
         if not np.isfinite(l2) or l2 < 0.0:
             raise ValueError(f"l2 must be a finite nonnegative float, got {l2!r}")
         self.dim = int(dim)
@@ -259,11 +255,6 @@ class MlpObjective(Objective):
     """
 
     def __init__(self, d_in: int, hidden: int, classes: int):
-        if d_in < 1 or hidden < 1 or classes < 2:
-            raise ValueError(
-                f"need d_in >= 1, hidden >= 1, classes >= 2; "
-                f"got ({d_in}, {hidden}, {classes})"
-            )
         self.d_in = int(d_in)
         self.hidden = int(hidden)
         self.classes = int(classes)

@@ -3,7 +3,8 @@
 A dataclass field carries its bound as ``field(metadata=...)``, built
 with the helpers below. The class's ``__post_init__`` calls
 :func:`validate`; the command line reads the same bound through
-:func:`rule_of`, so that it can report every key that breaks one.
+:func:`rule_of`, so that it can report every key that breaks one. A
+rule across fields is the class's own, in its ``conflicts``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ class StaleUpdateError(RuntimeError):
         self.limit = limit
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServerConfig:
     """Mixing policy of the asynchronous server.
 

@@ -35,6 +35,7 @@ from fedasync.data import (
     Shard,
     delay_rng,
     domain_rng,
+    eval_rows,
     gen_classification,
     gen_regression,
     partition_non_iid,
@@ -83,7 +84,7 @@ def _nonnegative_means(means) -> bool:
     return len(means) > 0 and all(FINITE_NONNEGATIVE["rule"].holds(m) for m in means)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelayModel:
     """Per-task latency: compute component plus network component.
 
@@ -123,7 +124,7 @@ class DelayModel:
         return compute + network
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one run from a seed."""
 
@@ -146,8 +147,32 @@ class ExperimentConfig:
 
     def __post_init__(self):
         validate(self)
-        if self.task == "logistic" and self.n_classes != 2:
-            raise ValueError("logistic task is binary; set n_classes=2")
+        if broken := self.conflicts(**vars(self)):
+            raise ValueError("\n".join(broken))
+
+    @staticmethod
+    def conflicts(
+        task, n_workers, n_samples, dim, n_classes, eval_frac, classes_per_device, **_
+    ) -> list[str]:
+        """The rules across fields that these values break, as the command
+        line words them; none broken means the data generates, splits and shards."""
+        classify, cpd, bad = task != "quadratic", classes_per_device, []
+        if task == "logistic" and n_classes != 2:
+            bad.append("logistic task is binary; set n_classes=2")
+        if classify and n_classes > dim:
+            bad.append(f"n_classes: task={task} needs n_classes <= dim (got {n_classes} > {dim})")
+        if classify and cpd > n_classes:
+            bad.append(f"classes_per_device: must be <= n_classes (got {cpd} > {n_classes})")
+        if not classify and n_samples < dim:
+            bad.append(f"n_samples: task={task} needs n_samples >= dim (got {n_samples} < {dim})")
+        n_train = n_samples - eval_rows(n_samples, eval_frac)
+        skewed = cpd > 0 and not (classify and cpd == n_classes)
+        blocks = n_workers * (cpd if skewed else 1)
+        if n_train < 1:
+            bad.append(f"eval_frac: leaves none of the {n_samples} samples for training")
+        elif blocks > n_train:
+            bad.append(f"n_workers: sharding needs {blocks} training rows, there are {n_train}")
+        return bad
 
 
 @dataclass
@@ -199,10 +224,7 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     else:
         objective = MlpObjective(cfg.dim, cfg.hidden, cfg.n_classes)
     train, eval_set = train_eval_split(full, cfg.eval_frac, cfg.seed)
-    cpd = cfg.classes_per_device
-    if cpd == 0 and full.task == "classification":
-        cpd = full.n_classes
-    shards = partition_non_iid(train, cfg.n_workers, cpd, cfg.seed)
+    shards = partition_non_iid(train, cfg.n_workers, cfg.classes_per_device, cfg.seed)
     if cfg.task == "mlp":
         x0 = domain_rng(cfg.seed, INIT_DOMAIN).standard_normal(objective.dim) * 0.1
     else:

@@ -6,6 +6,8 @@ parameters together with the epoch the pull happened at. The same
 function drives the in-process simulators and the TCP worker process.
 The devices of a FedAvg round, which all pull one model, train together
 as one stack (:func:`train_round`), with the same draws and bits.
+Neither checks its inputs again: :class:`WorkerConfig` is checked when
+it is built, and every shard of a checked experiment is non-empty.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkerConfig:
     """Hyperparameters of the local solver.
 
@@ -55,8 +57,13 @@ class WorkerConfig:
 
     def __post_init__(self):
         validate(self)
-        if self.h_min > self.h_max:
-            raise ValueError(f"need h_min <= h_max, got ({self.h_min}, {self.h_max})")
+        if broken := self.conflicts(**vars(self)):
+            raise ValueError("\n".join(broken))
+
+    @staticmethod
+    def conflicts(h_min, h_max, **_) -> list[str]:
+        """The rules across fields that these values break: the step range is not empty."""
+        return [f"need h_min <= h_max, got ({h_min}, {h_max})"] if h_min > h_max else []
 
 
 @dataclass
@@ -115,18 +122,16 @@ def local_train(
     :func:`skip_task` makes the same draws. The targets of all the steps
     are prepared for the gradient kernel (``objective.prepare``) at once.
 
-    The anchor and shard are validated once and finiteness is checked
-    once, on the final iterate; a non-finite result is replayed step by
-    step on the same batches to find the step that diverged.
+    The anchor is a committed model, or a pull the worker's session has
+    checked, so it is not checked again. Finiteness is checked once, on
+    the final iterate; a non-finite result is replayed step by step on
+    the same batches to find the step that diverged.
 
     Raises
     ------
     DivergenceError
         If the gradient or the iterate stops being finite.
     """
-    if len(shard) == 0:
-        raise ValueError("cannot train on an empty shard")
-    anchor = objective._check(anchor, shard.features)
     steps = choose_steps(cfg, rng)
     if cfg.batch_size is None:
         batches = [(shard.features, objective.prepare(shard.targets))] * steps
@@ -175,9 +180,6 @@ def train_round(
     ):
         updates = [local_train(objective, s, anchor, 0, cfg, g) for s, g in zip(shards, rngs)]
         return np.array([u.params for u in updates]), [u.local_iters for u in updates]
-    if any(len(shard) == 0 for shard in shards):
-        raise ValueError("cannot train on an empty shard")
-    anchor = objective._check(anchor, shards[0].features)
     # the one value h_min: a degenerate range consumes no draw
     steps = [choose_steps(cfg, rng) for rng in rngs]
     if cfg.batch_size is None:
@@ -208,9 +210,9 @@ def _descend(
     per ``(X, t)`` batch of features and prepared targets.
 
     ``checked`` raises ``DivergenceError`` at the first step whose
-    gradient or iterate is not finite; the caller has validated the
-    anchor and the features, so the unchecked step kernel is used, bound
-    once to the iterate.
+    gradient or iterate is not finite. The step kernel is unchecked
+    (see :func:`local_train` for why the anchor is trusted), bound once
+    to the iterate.
     """
     # 0-d arrays: numpy scales by them without converting a Python float
     gamma, rho = np.array(cfg.gamma), np.array(cfg.rho)

@@ -84,7 +84,6 @@ class TestFedAvg:
         same = problem.shards[0]
         for w in (1, 2):
             problem.shards[w] = type(same)(
-                device_id=w,
                 features=same.features,
                 targets=same.targets,
                 indices=same.indices,

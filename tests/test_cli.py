@@ -1,5 +1,6 @@
 """End-to-end tests for the experiment command line."""
 
+import dataclasses
 import gc
 import re
 import resource
@@ -23,6 +24,7 @@ from fedasync.cli import (
     ConfigError,
     RunSpec,
     _mean_rows,
+    _show,
     build_parser,
     gradients_to_threshold,
     main,
@@ -236,6 +238,134 @@ class TestKeySchema:
             if line.startswith("| `"):
                 named.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
         assert named == set(KEYS)
+
+    def test_readme_table_gives_the_cli_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+        shown = {}
+        for line in section.splitlines():
+            if line.startswith("| `") and not line.startswith("| `algorithm`"):
+                names_cell, default_cell = line.split("|")[1:3]
+                names = re.findall(r"`([^`]+)`", names_cell)
+                defaults = default_cell.replace("`", "").strip().split(", ")
+                assert len(names) == len(defaults), line
+                shown.update(zip(names, defaults))
+        assert shown == {
+            key: _show(row.default, row.blank) for key, row in KEYS.items() if key != "algorithm"
+        }
+
+
+# The rules across fields, as the configuration classes state them and the
+# command line prints them: (keys, text). h_min and h_max are WorkerConfig's.
+CROSS_RULES = [
+    ({"task": "mlp", "dim": 2, "n_classes": 5},
+     "n_classes: task=mlp needs n_classes <= dim (got 5 > 2)"),
+    ({"task": "logistic", "dim": 1},
+     "n_classes: task=logistic needs n_classes <= dim (got 2 > 1)"),
+    ({"task": "logistic", "n_classes": 3},
+     "logistic task is binary; set n_classes=2"),
+    ({"task": "logistic", "classes_per_device": 3},
+     "classes_per_device: must be <= n_classes (got 3 > 2)"),
+    ({"n_samples": 5, "dim": 10, "n_workers": 1},
+     "n_samples: task=quadratic needs n_samples >= dim (got 5 < 10)"),
+    ({"eval_frac": 0.9999},
+     "eval_frac: leaves none of the 1000 samples for training"),
+    ({"n_samples": 11, "n_workers": 10},
+     "n_workers: sharding needs 10 training rows, there are 9"),
+    ({"n_workers": 200, "classes_per_device": 5},
+     "n_workers: sharding needs 1000 training rows, there are 800"),
+    ({"h_min": 9, "h_max": 3},
+     "need h_min <= h_max, got (9, 3)"),
+]
+
+
+def _config(**keys):
+    """The ExperimentConfig of the command line's defaults and ``keys``."""
+    steps = {name: keys.pop(name) for name in ("h_min", "h_max") if name in keys}
+    spec = parse_config(None, ["algorithm=sgd"])
+    fields = {f.name: getattr(spec.cfg, f.name) for f in dataclasses.fields(ExperimentConfig)}
+    worker = WorkerConfig(**{**dataclasses.asdict(spec.cfg.worker), **steps})
+    return ExperimentConfig(**{**fields, **keys, "worker": worker})
+
+
+class TestCrossFieldRules:
+    @pytest.mark.parametrize("keys, text", CROSS_RULES, ids=[text for _, text in CROSS_RULES])
+    def test_config_classes_refuse_with_the_cli_text(self, keys, text):
+        with pytest.raises(ValueError) as err:
+            _config(**keys)
+        assert str(err.value) == text
+        with pytest.raises(ConfigError) as err:
+            parse_config(None, ["algorithm=sgd", *(f"{k}={v}" for k, v in keys.items())])
+        assert err.value.problems == [text]
+
+    def test_one_error_lists_every_broken_rule(self):
+        with pytest.raises(ValueError) as err:
+            _config(task="mlp", dim=2, n_classes=5, classes_per_device=6, n_samples=4)
+        assert str(err.value).splitlines() == [
+            "n_classes: task=mlp needs n_classes <= dim (got 5 > 2)",
+            "classes_per_device: must be <= n_classes (got 6 > 5)",
+            "n_workers: sharding needs 60 training rows, there are 3",
+        ]
+
+    def test_rules_across_fields_wait_for_the_rules_on_fields(self):
+        with pytest.raises(ValueError) as err:
+            _config(task="mlp", dim=0, n_classes=5)
+        assert str(err.value) == "dim must be >= 1, got 0"
+        with pytest.raises(ConfigError) as err:
+            parse_config(None, ["algorithm=sgd", "task=mlp", "dim=0", "n_classes=5", "h_min=0"])
+        assert err.value.problems == ["dim: must be >= 1 (got 0)", "h_min: must be >= 1 (got 0)"]
+
+
+class TestOneReport:
+    """Every problem of a command's keys, listed in one report: the keys
+    the command does not read together with the problems of those it does."""
+
+    @pytest.mark.parametrize(
+        "argv, problems",
+        [
+            (
+                ["gen-data", "--out", "d.txt", "dim=0", "hidden=3"],
+                ["hidden: gen-data does not read it", "dim: must be >= 1 (got 0)"],
+            ),
+            (
+                ["serve", "--out", "o", "algorithm=fedavg", "k=99"],
+                [
+                    "algorithm: serve runs fedasync-net (got 'fedavg')",
+                    "k only applies to algorithm=fedavg (algorithm=fedasync-net)",
+                ],
+            ),
+            (
+                ["worker", "--connect", "127.0.0.1:1", "--worker-id", "0", "algorithm=fedavg",
+                 "dim=0"],
+                ["algorithm: worker runs fedasync-net (got 'fedavg')", "dim: must be >= 1 (got 0)"],
+            ),
+            (
+                ["run", "--out", "o", "algorithm=fedasync-sampled", "h_min=9", "h_max=3",
+                 "task=mlp", "n_classes=5", "dim=2"],
+                [
+                    "n_classes: task=mlp needs n_classes <= dim (got 5 > 2)",
+                    "need h_min <= h_max, got (9, 3)",
+                ],
+            ),
+        ],
+        ids=["gen-data", "serve", "worker", "run"],
+    )
+    def test_every_problem_in_one_report(self, tmp_path, monkeypatch, capsys, argv, problems):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "invalid configuration:\n" + "".join(f"  - {p}\n" for p in problems)
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_keys_gen_data_does_not_read_come_from_the_file_too(self, tmp_path, capsys):
+        conf = tmp_path / "c.txt"
+        conf.write_text("hidden=3\nsep=0\n")
+        assert main(["gen-data", "-c", str(conf), "k=2", "--out", str(tmp_path / "d.txt")]) == 2
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            "  - hidden: gen-data does not read it",
+            "  - k: gen-data does not read it",
+            "  - sep: must be finite and > 0 (got 0.0)",
+        ]
 
 
 class TestCmdRun:

@@ -1,12 +1,10 @@
 """Unit tests for dataset generation, sharding, batching, and persistence."""
 
 import numpy as np
-import pytest
 
 from fedasync.data import (
     DATA_DOMAIN,
     WORKER_DOMAIN,
-    Dataset,
     domain_rng,
     gen_classification,
     gen_regression,
@@ -74,14 +72,6 @@ class TestGenRegression:
         w_hat, *_ = np.linalg.lstsq(ds.features, ds.targets, rcond=None)
         assert np.max(np.abs(w_hat - _planted(1000, 10, seed=2))) < 0.05
 
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            gen_regression(3, 5, 0.1, seed=0)
-        with pytest.raises(ValueError):
-            gen_regression(10, 0, 0.1, seed=0)
-        with pytest.raises(ValueError):
-            gen_regression(10, 2, -0.5, seed=0)
-
 
 class TestGenClassification:
     def test_shapes_and_balance(self):
@@ -106,14 +96,6 @@ class TestGenClassification:
         for _ in range(200):
             w = w - 0.1 * obj.grad(w, ds.features, ds.targets)
         assert obj.accuracy(w, ds.features, ds.targets) >= 0.99
-
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            gen_classification(10, 3, 5, sep=1.0, seed=0)  # classes > dim
-        with pytest.raises(ValueError):
-            gen_classification(10, 3, 1, sep=1.0, seed=0)
-        with pytest.raises(ValueError):
-            gen_classification(10, 3, 2, sep=0.0, seed=0)
 
 
 class TestPartition:
@@ -180,15 +162,6 @@ class TestPartition:
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.indices, sb.indices)
 
-    def test_invalid_parameters_rejected(self):
-        ds = gen_classification(20, 4, 2, sep=2.0, seed=0)
-        with pytest.raises(ValueError):
-            partition_non_iid(ds, 21, 1, seed=0)  # more devices than samples
-        with pytest.raises(ValueError):
-            partition_non_iid(ds, 2, 0, seed=0)  # classification needs >= 1
-        with pytest.raises(ValueError):
-            partition_non_iid(ds, 2, 3, seed=0)  # more than n_classes
-
 
 class TestSampleMinibatch:
     def test_singleton_shard_returns_that_sample(self):
@@ -228,12 +201,6 @@ class TestSampleMinibatch:
         np.testing.assert_array_equal(features[0], shard.features[idx])
         np.testing.assert_array_equal(after_a, after_b)
 
-    def test_invalid_batch_size_rejected(self):
-        ds = gen_regression(10, 2, 0.1, seed=0)
-        shard = partition_non_iid(ds, 1, 0, seed=0)[0]
-        with pytest.raises(ValueError, match="batch_size"):
-            sample_minibatch(shard, 0, np.random.default_rng(0), steps=1)
-
 
 class TestTrainEvalSplit:
     def test_sizes_and_disjointness(self):
@@ -251,12 +218,6 @@ class TestTrainEvalSplit:
         b_train, b_eval = train_eval_split(ds, 0.25, seed=1)
         np.testing.assert_array_equal(a_train.features, b_train.features)
         np.testing.assert_array_equal(a_eval.targets, b_eval.targets)
-
-    def test_bad_fraction_rejected(self):
-        ds = gen_regression(10, 2, 0.1, seed=0)
-        for frac in (0.0, 1.0, -0.1):
-            with pytest.raises(ValueError):
-                train_eval_split(ds, frac, seed=0)
 
 
 class TestSaveLoad:
@@ -277,13 +238,3 @@ class TestSaveLoad:
         np.testing.assert_array_equal(back[:, 1:], ds.features)
         np.testing.assert_array_equal(back[:, 0].astype(np.int64), ds.targets)
         assert path.read_text().startswith("# task=classification n_samples=30 dim=5 n_classes=3\n")
-
-
-class TestDatasetValidation:
-    def test_target_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="targets"):
-            Dataset(features=np.zeros((3, 2)), targets=np.zeros(4), task="regression")
-
-    def test_unknown_task_rejected(self):
-        with pytest.raises(ValueError, match="task"):
-            Dataset(features=np.zeros((3, 2)), targets=np.zeros(3), task="ranking")

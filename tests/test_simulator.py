@@ -1,5 +1,6 @@
 """Unit tests for both simulation modes, the delay model, and problem setup."""
 
+import dataclasses
 import gc
 import heapq
 import inspect
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 import fedasync.simulator as simulator
+from fedasync.baselines import FedAvgConfig, run_fedavg, run_serial_sgd
+from fedasync.cli import _run_net
 from fedasync.data import SERVER_DOMAIN, delay_rng, domain_rng, worker_rng
 from fedasync.server import ServerConfig, ServerState, StaleUpdateError, apply_update, plan_triggers
 from fedasync.simulator import (
@@ -104,6 +107,64 @@ class TestExperimentConfig:
     def test_logistic_must_be_binary(self):
         with pytest.raises(ValueError, match="binary"):
             _cfg(task="logistic", n_classes=3)
+
+    def test_every_config_that_builds_runs(self):
+        # the data and worker layers check nothing: a seeded sweep of small
+        # configs, many breaking a rule across fields, shows that each one
+        # the classes accept builds its problem and runs every in-process
+        # algorithm, so no check behind the classes is reachable
+        rng, built = np.random.default_rng(29), 0
+        for _ in range(3000):
+            task = ("quadratic", "logistic", "mlp")[rng.integers(3)]
+            n_classes = 2 if task == "logistic" and rng.random() < 0.8 else int(rng.integers(2, 6))
+            try:
+                cfg = _cfg(
+                    task=task,
+                    n_workers=int(rng.integers(1, 9)),
+                    total_epochs=3,
+                    n_samples=int(rng.integers(1, 31)),
+                    dim=int(rng.integers(1, 6)),
+                    n_classes=n_classes,
+                    hidden=int(rng.integers(1, 4)),
+                    eval_frac=float(rng.uniform(0.01, 0.99)),
+                    classes_per_device=int(rng.integers(0, 6)),
+                    seed=int(rng.integers(100)),
+                    worker=WorkerConfig(
+                        gamma=0.05,
+                        rho=0.01,
+                        h_min=int(rng.integers(1, 4)),
+                        h_max=int(rng.integers(1, 4)),
+                        batch_size=None if rng.random() < 0.3 else int(rng.integers(1, 6)),
+                    ),
+                )
+            except ValueError:
+                continue
+            built += 1
+            problem = build_problem(cfg)
+            run_fedasync_sampled(cfg, problem)
+            run_fedasync_latency(cfg, problem)
+            run_fedavg(cfg, problem, FedAvgConfig(k=min(2, cfg.n_workers), local_steps=2))
+            run_serial_sgd(cfg, problem)
+            _run_net(cfg)
+        assert built >= 300
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            lambda: _cfg(),
+            lambda: ServerConfig(alpha=0.5),
+            lambda: WorkerConfig(gamma=0.1),
+            lambda: DelayModel(),
+            lambda: FedAvgConfig(),
+        ],
+        ids=["ExperimentConfig", "ServerConfig", "WorkerConfig", "DelayModel", "FedAvgConfig"],
+    )
+    def test_a_built_config_is_frozen(self, config):
+        # a checked config stays checked; dataclasses.replace checks anew
+        cfg = config()
+        name = dataclasses.fields(cfg)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
 
 
 class TestBuildProblem:
