@@ -10,8 +10,9 @@ subprocess whose ``PYTHONPATH`` is that tree:
 * ``fedasync run`` for the five algorithms on the three tasks, with
   ``repeats=2``, ``jsonl=true`` and ``eval_every=1``, plus one MLP with
   ``hidden=105`` under the sampled mode and one under FedAvg with
-  ``k=3``. ``fedasync-net`` runs one worker, the case whose order of
-  events is fixed;
+  ``k=3``, and one latency run whose constant delays land pushes at tied
+  times, rejected ones among them. ``fedasync-net`` runs one worker, the
+  case whose order of events is fixed;
 * ``fedasync compare --out`` over each task's five summaries;
 * ``fedasync gen-data`` for each task;
 * refusals, each of one configuration problem, that must exit 2 and
@@ -77,6 +78,10 @@ def commands() -> list[tuple[str, list[str]]]:
     wide = "run/mlp/fedavg-hidden-105"
     out.append((wide, ["run", "--out", wide, "algorithm=fedavg", *SIZE, "n_workers=4", "k=3",
                        "task=mlp", "n_classes=3", "hidden=105"]))
+    ties = "run/quadratic/latency-ties"
+    out.append((ties, ["run", "--out", ties, "algorithm=fedasync-latency", *SIZE, "n_workers=4",
+                       "max_staleness=1", "delay_kind=constant", "compute_means=1.0,2.0",
+                       "network_mean=0.0", "task=quadratic"]))
     for task in TASKS:
         summaries = [f"run/{task}/{algorithm}/summary.csv" for algorithm in ALGORITHMS]
         name = f"compare_{task}.csv"

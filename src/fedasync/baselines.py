@@ -11,18 +11,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from fedasync.data import SERVER_DOMAIN, Shard, domain_rng, worker_rng
+from fedasync.data import SERVER_DOMAIN, Shard, domain_rng
 from fedasync.rules import at_least, optional, validate
 from fedasync.simulator import (
     ExperimentConfig,
     Problem,
-    RunLoop,
     RunResult,
     build_problem,
     drive,
     make_record,  # not called here; bench/tracing.py patches it in every runner module
 )
-from fedasync.server import ServerState
 from fedasync.worker import (
     local_train,  # not called here; bench/tracing.py patches it in every runner module
     train_round,
@@ -51,16 +49,14 @@ def run_fedavg(
 ) -> RunResult:
     """Synchronous rounds: sample ``k`` devices, average their results.
 
-    Each of the ``cfg.total_epochs`` rounds, the server stream draws ``k``
-    distinct devices; every one runs ``local_steps`` plain SGD steps (no
-    proximal pull) from the current global model, and the new global
-    model is the unweighted mean of what they send back, folded in
-    device-id order. One round counts as one epoch in the metrics;
-    ``alpha_t`` and ``staleness`` are not meaningful here and are
-    recorded as 0.
+    The schedule :func:`drive` runs: each of the ``cfg.total_epochs``
+    rounds, the server stream draws ``k`` distinct devices; every one runs
+    ``local_steps`` plain SGD steps (no proximal pull) from the current
+    global model, and the new global model is the unweighted mean of what
+    they send back, folded in device-id order. One round counts as one
+    epoch in the metrics; ``alpha_t`` and ``staleness`` are not meaningful
+    here and are recorded as 0.
     """
-    if problem is None:
-        problem = build_problem(cfg)
     if favg is None:
         favg = FedAvgConfig()
     k = favg.k
@@ -70,11 +66,9 @@ def run_fedavg(
     if local_steps is None:
         local_steps = (cfg.worker.h_min + cfg.worker.h_max) // 2
     lcfg = replace(cfg.worker, rho=0.0, h_min=local_steps, h_max=local_steps)
-    state = ServerState.create(problem.x0)
-    server_stream = domain_rng(cfg.seed, SERVER_DOMAIN)
-    worker_streams = [worker_rng(cfg.seed, w) for w in range(cfg.n_workers)]
 
-    def schedule():
+    def schedule(problem, state, streams):
+        server_stream = domain_rng(cfg.seed, SERVER_DOMAIN)
         for rnd in range(1, cfg.total_epochs + 1):
             selected = sorted(
                 int(w)
@@ -85,7 +79,7 @@ def run_fedavg(
                 [problem.shards[w] for w in selected],
                 state.params,
                 lcfg,
-                [worker_streams[w] for w in selected],
+                [streams[w] for w in selected],
             )
             state.params = np.mean(trained, axis=0)
             state.params.setflags(write=False)
@@ -93,7 +87,7 @@ def run_fedavg(
             state.n_gradients += sum(steps)
             yield 0.0
 
-    return drive(RunLoop(cfg, problem, state), schedule())
+    return drive(cfg, problem, schedule)
 
 
 def run_serial_sgd(

@@ -273,7 +273,7 @@ def _spec(raw: dict[str, str], problems: list[str], require_algorithm: bool) -> 
     args: dict[type, dict[str, object]] = defaultdict(dict)
     for key, row in KEYS.items():
         args[row.owner][row.attr or key] = values[key]
-    for owner in (ExperimentConfig, WorkerConfig):
+    for owner in (ExperimentConfig, WorkerConfig, DelayModel):
         if not any(KEYS[key].owner is owner for key in bad):
             problems += owner.conflicts(**args[owner])
     if problems:

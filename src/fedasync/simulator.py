@@ -1,10 +1,11 @@
 """Deterministic in-process execution of the asynchronous protocol.
 
-:func:`drive` is the run loop of every in-process algorithm (these two
-modes and the baselines): evaluation schedule, divergence handling and
-the :class:`RunResult`. Each runner supplies only its scheduler, the
-generator that decides which worker trains next and commits its update. The TCP server takes the same :class:`RunLoop`
-step from its selector loop.
+:func:`drive` sets up and runs every in-process algorithm (these two
+modes and the baselines): problem, state, training streams, evaluation
+schedule, divergence handling and :class:`RunResult`. Each runner supplies
+only its schedule, the generator that picks the worker that trains next and
+commits its update; both modes land a push through one function. The TCP
+server takes the same :class:`RunLoop` step from its selector loop.
 
 Two modes share all of the numeric machinery and differ only in how
 staleness arises:
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,6 +108,19 @@ class DelayModel:
 
     def __post_init__(self):
         validate(self)
+        if broken := self.conflicts(**vars(self)):
+            raise ValueError("\n".join(broken))
+
+    @staticmethod
+    def conflicts(compute_means, network_mean, kind, **_) -> list[str]:
+        """The rules across fields that these values break: the uniform law
+        draws up to ``2 * mean``, which must be finite."""
+        means = {"compute_means": max(compute_means), "network_mean": network_mean}
+        return [
+            f"{key}: delay_kind=uniform needs 2 * mean finite (got {mean!r})"
+            for key, mean in means.items()
+            if kind == "uniform" and not np.isfinite(2.0 * mean)
+        ]
 
     def compute_mean_for(self, worker_id: int) -> float:
         return float(self.compute_means[worker_id % len(self.compute_means)])
@@ -280,18 +294,41 @@ class RunLoop:
         return RunResult(self.records, self.state.params, self.state)
 
 
-def drive(run: RunLoop, schedule: Iterator[float]) -> RunResult:
+def drive(cfg: ExperimentConfig, problem: Problem | None, schedule: Callable) -> RunResult:
     """The server loop every in-process algorithm shares around its
-    ``schedule``, a generator that commits one update to ``run.state`` per
-    item and yields that update's ``sim_time``. A :class:`DivergenceError`
-    raised by the scheduler becomes a :class:`RunFailure` carrying the
-    rows so far."""
+    ``schedule``. It builds the problem if none is given, the state at
+    ``problem.x0``, each worker's training stream and the :class:`RunLoop`.
+    ``schedule(problem, state, streams)`` is a generator that commits one
+    update to ``state`` per item and yields its ``sim_time``. A
+    :class:`DivergenceError` it raises becomes a :class:`RunFailure`
+    carrying the rows so far."""
+    if problem is None:
+        problem = build_problem(cfg)
+    state = ServerState.create(problem.x0)
+    streams = [worker_rng(cfg.seed, w) for w in range(cfg.n_workers)]
+    run = RunLoop(cfg, problem, state)
     try:
-        for sim_time in schedule:
+        for sim_time in schedule(problem, state, streams):
             run.step(sim_time)
     except DivergenceError as exc:
-        raise RunFailure(run.records, run.state.epoch, exc) from exc
+        raise RunFailure(run.records, state.epoch, exc) from exc
     return run.result()
+
+
+def _land(cfg, problem, state, streams, w: int, tau: int) -> bool:
+    """Land worker ``w``'s push, pulled at epoch ``tau``: rejected by
+    :func:`admit`, it only makes its task's draws; accepted, it is at most
+    ``max_staleness`` stale, so it trains from ``state.history[tau]`` and
+    is applied. Returns whether it was applied."""
+    shard, stream = problem.shards[w], streams[w]
+    try:
+        admit(state, cfg.server, tau)
+    except StaleUpdateError:
+        skip_task(shard, cfg.worker, stream)
+        return False
+    upd = local_train(problem.objective, shard, state.history[tau], tau, cfg.worker, stream, w)
+    apply_update(state, cfg.server, upd)
+    return True
 
 
 def run_fedasync_sampled(
@@ -303,35 +340,21 @@ def run_fedasync_sampled(
     Per epoch the server stream draws the staleness
     ``s ~ U{0..min(max_staleness, epoch)}``, then the device uniformly
     (both draws always happen, keeping the stream position
-    config-independent). The device trains from the historical model
-    ``s`` epochs back, so the update's staleness at application is
-    exactly ``s``.
+    config-independent). The device's push, pulled ``s`` epochs back,
+    lands at once: it trains from that historical model, so the update's
+    staleness at application is exactly ``s``.
     """
-    if problem is None:
-        problem = build_problem(cfg)
-    state = ServerState.create(problem.x0)
-    server_stream = domain_rng(cfg.seed, SERVER_DOMAIN)
-    worker_streams = [worker_rng(cfg.seed, w) for w in range(cfg.n_workers)]
 
-    def schedule():
+    def schedule(problem, state, streams):
+        server_stream = domain_rng(cfg.seed, SERVER_DOMAIN)
         for _ in range(cfg.total_epochs):
             hi = min(cfg.server.max_staleness, state.epoch)
             s = int(server_stream.integers(0, hi + 1))
             w = int(server_stream.integers(0, cfg.n_workers))
-            base_epoch = state.epoch - s
-            upd = local_train(
-                problem.objective,
-                problem.shards[w],
-                state.history[base_epoch],
-                base_epoch,
-                cfg.worker,
-                worker_streams[w],
-                worker_id=w,
-            )
-            apply_update(state, cfg.server, upd)
+            _land(cfg, problem, state, streams, w, state.epoch - s)
             yield 0.0
 
-    return drive(RunLoop(cfg, problem, state), schedule())
+    return drive(cfg, problem, schedule)
 
 
 def run_fedasync_latency(
@@ -343,20 +366,16 @@ def run_fedasync_latency(
     Dispatch keeps at most ``max_staleness + 1`` tasks in flight. A task
     pulls at dispatch and its push lands after the drawn delay, in
     ``(time, sequence)`` order. A push the staleness rule (:func:`admit`)
-    accepts is trained then, from its pull, and applied; one that diverges
-    fails the run at that epoch. A staler push is rejected (counted on the
-    server) and only makes its task's draws (:func:`skip_task`); the
-    worker is dispatched again. A worker has one task in flight at most,
-    so nothing draws from its stream between dispatch and landing.
+    accepts is trained then, from the model it pulled, and applied; one
+    that diverges fails the run there. A staler push is rejected (counted
+    on the server) and only makes its task's draws (:func:`skip_task`);
+    the worker is dispatched again. A worker has one task in flight at
+    most, so nothing draws from its stream between dispatch and landing.
     """
-    if problem is None:
-        problem = build_problem(cfg)
-    state = ServerState.create(problem.x0)
-    worker_streams = [worker_rng(cfg.seed, w) for w in range(cfg.n_workers)]
-    delay_streams = [delay_rng(cfg.seed, w) for w in range(cfg.n_workers)]
 
-    def schedule():
-        heap: list[tuple[float, int, int, tuple[int, np.ndarray]]] = []  # pulls in flight
+    def schedule(problem, state, streams):
+        delay_streams = [delay_rng(cfg.seed, w) for w in range(cfg.n_workers)]
+        heap: list[tuple[float, int, int, int]] = []  # (lands, sequence, worker, tau) in flight
         seq = itertools.count()
         idle = set(range(cfg.n_workers))
         cursor = 0
@@ -369,23 +388,15 @@ def run_fedasync_latency(
             for w in chosen:
                 idle.discard(w)
                 done = now + cfg.delay.draw(w, delay_streams[w])
-                heapq.heappush(heap, (done, next(seq), w, (state.epoch, state.params)))
+                heapq.heappush(heap, (done, next(seq), w, state.epoch))
 
         dispatch(0.0)
         while heap and state.epoch < cfg.total_epochs:
-            now, _, w, (tau, params) = heapq.heappop(heap)
+            now, _, w, tau = heapq.heappop(heap)
             idle.add(w)
-            shard, stream = problem.shards[w], worker_streams[w]
-            try:
-                admit(state, cfg.server, tau)
-            except StaleUpdateError:
-                skip_task(shard, cfg.worker, stream)
-                dispatch(now)
-                continue
-            upd = local_train(problem.objective, shard, params, tau, cfg.worker, stream, w)
-            apply_update(state, cfg.server, upd)
-            yield now
+            if _land(cfg, problem, state, streams, w, tau):
+                yield now
             if state.epoch < cfg.total_epochs:
                 dispatch(now)
 
-    return drive(RunLoop(cfg, problem, state), schedule())
+    return drive(cfg, problem, schedule)

@@ -347,8 +347,16 @@ class TestOneReport:
                     "need h_min <= h_max, got (9, 3)",
                 ],
             ),
+            (
+                ["run", "--out", "o", "algorithm=fedasync-latency", "delay_kind=uniform",
+                 "compute_means=1,1e308", "network_mean=9e307"],
+                [
+                    "compute_means: delay_kind=uniform needs 2 * mean finite (got 1e+308)",
+                    "network_mean: delay_kind=uniform needs 2 * mean finite (got 9e+307)",
+                ],
+            ),
         ],
-        ids=["gen-data", "serve", "worker", "run"],
+        ids=["gen-data", "serve", "worker", "run", "uniform-delay"],
     )
     def test_every_problem_in_one_report(self, tmp_path, monkeypatch, capsys, argv, problems):
         monkeypatch.chdir(tmp_path)

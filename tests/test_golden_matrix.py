@@ -7,10 +7,13 @@ an evaluation row after every epoch, so every bound kernel (the step, the
 training-split evaluation and the held-out score) writes into the CSVs.
 One wide network (``hidden=64``) under the sampled mode runs the MLP's
 work arrays at a width where the row max folds many rows; another, under
-FedAvg with three devices a round, runs the stacked round kernels. The TCP
-algorithm runs one worker, whose order of events is fixed. The same
-matrix, run with every objective's checked one-shot forms made to raise,
-shows that a run calls only the bound kernels.
+FedAvg with three devices a round, runs the stacked round kernels. A
+latency run with constant delays lands pushes at tied times, so the
+``(time, sequence)`` order and the draws of rejected pushes are pinned
+without random delays. The TCP algorithm runs one worker, whose order of
+events is fixed. The same matrix, run with every objective's checked
+one-shot forms made to raise, shows that a run calls only the bound
+kernels.
 
 To print fresh digests (after a deliberate output change):
 ``PYTHONPATH=src python tests/test_golden_matrix.py``.
@@ -19,13 +22,15 @@ To print fresh digests (after a deliberate output change):
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedasync.cli import main
+from fedasync.cli import main, parse_config
 from fedasync.numerics import LogisticObjective, MlpObjective, QuadraticObjective
+from fedasync.simulator import run_fedasync_latency
 from test_golden import NUMPY_VERSION, _digests
 
 ALGORITHMS = ("fedasync-sampled", "fedasync-latency", "fedavg", "sgd", "fedasync-net")
@@ -64,6 +69,11 @@ CASES["fedavg/wide-mlp"] = [
     "algorithm=fedavg", "task=mlp", "hidden=64", "n_classes=4", "n_samples=100", "dim=6",
     "n_workers=4", "k=3", "total_epochs=6", "eval_every=1", "h_min=2", "h_max=4",
     "batch_size=8", "repeats=1",
+]
+CASES["fedasync-latency/ties"] = [
+    "algorithm=fedasync-latency", "task=quadratic", "n_workers=4", "max_staleness=1",
+    "delay_kind=constant", "compute_means=1.0,2.0", "network_mean=0.0", "total_epochs=40",
+    "eval_every=1", "repeats=1", "n_samples=40", "dim=3", "h_min=1", "h_max=3", "batch_size=4",
 ]
 
 # made with numpy 2.4.6 (NUMPY_VERSION)
@@ -153,6 +163,11 @@ DIGESTS: dict[str, dict[str, str]] = {
         'rep000_params.txt': 'e4a9f8accf3489f36a378761c4d4d22a94a438f5706983dbb20f82416dd78b12',
         'summary.csv': 'efa659e20f16b1ae0babe7d375b6e4a237418029fc49c5791f538cd0b4757ec3',
     },
+    'fedasync-latency/ties': {
+        'rep000.csv': '736caa95ddfca08ec6fb8de2bb7a7b6c0e7e193af251dc769853792d1033673a',
+        'rep000_params.txt': '8208376d7e431958209c242a846c3d3a2fcf92489c76a0cdf40f09fbe4f3087f',
+        'summary.csv': 'd796e3876835cedd6c114e33147b5ba0df9d499c9fcd5cf4fb8e70a053c910cf',
+    },
 }
 
 
@@ -178,6 +193,15 @@ def produced(tmp_path_factory):
 @pytest.mark.parametrize("name", CASES)
 def test_outputs_match_reference_digests(produced, name):
     assert produced[name] == DIGESTS[name]
+
+
+def test_the_ties_case_ties_and_rejects():
+    # what the digests of the ties case pin: pushes landing at one time,
+    # and rejected pushes among them
+    result = run_fedasync_latency(parse_config(None, CASES["fedasync-latency/ties"]).cfg)
+    times = Counter(r.sim_time for r in result.records)
+    assert result.state.n_rejected == 12
+    assert list(times.values()).count(2) == 13 and max(times.values()) == 2
 
 
 def test_no_run_calls_the_one_shot_forms(tmp_path, monkeypatch):

@@ -93,6 +93,19 @@ class TestDelayModel:
         with pytest.raises(ValueError, match="means"):
             DelayModel(compute_means=[1.0, -1.0])
 
+    def test_uniform_law_needs_a_finite_upper_end(self):
+        # uniform draws on [0, 2 * mean]; a mean above half the largest
+        # double is refused where the model is built, not at the first draw
+        with pytest.raises(ValueError) as err:
+            DelayModel(compute_means=[1.0, 1e308], network_mean=9e307, kind="uniform")
+        assert str(err.value).splitlines() == [
+            "compute_means: delay_kind=uniform needs 2 * mean finite (got 1e+308)",
+            "network_mean: delay_kind=uniform needs 2 * mean finite (got 9e+307)",
+        ]
+        DelayModel(compute_means=[8e307], network_mean=8e307, kind="uniform")
+        for kind in ("constant", "exponential"):  # neither law draws from a bounded range
+            DelayModel(compute_means=[1e308], network_mean=1e308, kind=kind)
+
     @pytest.mark.parametrize("means", [1.0, []])
     def test_bare_float_or_empty_list_rejected(self, means):
         with pytest.raises(ValueError, match="one or more values"):
@@ -112,11 +125,14 @@ class TestExperimentConfig:
         # the data and worker layers check nothing: a seeded sweep of small
         # configs, many breaking a rule across fields, shows that each one
         # the classes accept builds its problem and runs every in-process
-        # algorithm, so no check behind the classes is reachable
+        # algorithm, so no check behind the classes is reachable; the delay
+        # model draws every law with means up to the largest doubles
         rng, built = np.random.default_rng(29), 0
+        magnitudes = (0.0, 0.5, 2.0, 1e307, 1e308)
         for _ in range(3000):
             task = ("quadratic", "logistic", "mlp")[rng.integers(3)]
             n_classes = 2 if task == "logistic" and rng.random() < 0.8 else int(rng.integers(2, 6))
+            means = [magnitudes[i] for i in rng.integers(len(magnitudes), size=rng.integers(1, 4))]
             try:
                 cfg = _cfg(
                     task=task,
@@ -135,6 +151,11 @@ class TestExperimentConfig:
                         h_min=int(rng.integers(1, 4)),
                         h_max=int(rng.integers(1, 4)),
                         batch_size=None if rng.random() < 0.3 else int(rng.integers(1, 6)),
+                    ),
+                    delay=DelayModel(
+                        compute_means=means,
+                        network_mean=magnitudes[rng.integers(len(magnitudes))],
+                        kind=("constant", "uniform", "exponential")[rng.integers(3)],
                     ),
                 )
             except ValueError:
